@@ -201,11 +201,15 @@ def cmd_oz_check(args) -> int:
         "max_violation": report.max_violation,
         "trials": report.trials,
         "tolerance": report.tolerance,
+        "vacuous": report.vacuous,
     }
-    lines = [
-        f"order zero check: {'pass' if report.passed else 'FAIL'} "
-        f"(max violation {report.max_violation:.3e} over {report.trials} trials)"
-    ]
+    if report.vacuous:
+        lines = ["order zero check: vacuous (0 trials)"]
+    else:
+        lines = [
+            f"order zero check: {'pass' if report.passed else 'FAIL'} "
+            f"(max violation {report.max_violation:.3e} over {report.trials} trials)"
+        ]
     _emit(doc, lines, args.format)
     return 0 if report.passed else 4
 

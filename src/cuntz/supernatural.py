@@ -23,19 +23,35 @@ class ZeroExponent(ValueError):
     """Exponents must be >= 1; absent primes are simply omitted."""
 
 
+class PrimalityNotCertified(ValueError):
+    """A base passes every Miller-Rabin round but lies above the bound
+    below which those rounds prove primality."""
+
+
+# Miller-Rabin with the primes up to 41 as bases decides primality for
+# every n below this bound (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic primality below ``_MR_BOUND``.
+
+    A composite number of any size is recognised when one base witnesses
+    it; a number above the bound that passes every base raises
+    PrimalityNotCertified instead of being called prime.
+    """
     if n < 2:
         return False
     if n < 4:
         return True
     if n % 2 == 0:
         return False
-    # Deterministic Miller-Rabin, valid for all 64-bit integers.
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         if a % n == 0:
             continue
         x = pow(a, d, n)
@@ -47,6 +63,11 @@ def _is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_BOUND:
+        raise PrimalityNotCertified(
+            f"primality of {n} is not certified: Miller-Rabin to bases 2..41 "
+            f"decides only below {_MR_BOUND}"
+        )
     return True
 
 
@@ -80,7 +101,8 @@ class Supernatural:
 def sn_make(pairs: Iterable[Tuple[int, ExtNat]] | Mapping[int, ExtNat]) -> Supernatural:
     """Build a supernatural number from (prime, exponent) data.
 
-    Raises NotPrime, DuplicateBase, or ZeroExponent on malformed input.
+    Raises NotPrime, DuplicateBase, or ZeroExponent on malformed input, and
+    PrimalityNotCertified for a base too large to certify as prime.
     The empty product is the supernatural number 1.
     """
     if isinstance(pairs, Mapping):

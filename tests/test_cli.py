@@ -183,6 +183,18 @@ def test_oz_check_passes(phi_file, capsys):
     assert doc["max_violation"] <= doc["tolerance"]
 
 
+def test_oz_check_on_one_point_is_vacuous(phi_file, tmp_path, capsys):
+    assert main(["oz", "check", phi_file]) == 0
+    assert capsys.readouterr().out == "order zero check: vacuous (0 trials)\n"
+    assert main(["oz", "check", phi_file, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["vacuous"], doc["passed"], doc["trials"]) == (True, True, 0)
+    two_points = {**diag_map_doc(3, ["1"]), "domain": [1, 1], "mult": [1, 1],
+                  "blocks": [[["1"]], [["1/2"]]]}
+    assert main(["oz", "check", write(tmp_path, "two.json", two_points)]) == 0
+    assert capsys.readouterr().out.startswith("order zero check: pass (")
+
+
 def test_oz_check_rejects_bad_tol(phi_file, capsys):
     assert main(["oz", "check", phi_file, "--tol", "0"]) == 1
     assert "tolerance must be > 0" in capsys.readouterr().err
@@ -236,6 +248,28 @@ def test_oz_rejects_malformed_map(tmp_path, capsys):
     bad = write(tmp_path, "bad.json", doc)
     assert main(["oz", "check", bad]) == 1
     assert "invalid map document" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [float("inf"), float("nan")])
+def test_oz_rejects_non_finite_psd_block(tmp_path, capsys, entry):
+    doc = {
+        "schema": SCHEMA,
+        "domain": [1],
+        "target_dim": 2,
+        "mult": [1],
+        "blocks": [[[entry]]],
+        "mode": "psd",
+    }
+    bad = write(tmp_path, "bad.json", doc)
+    assert main(["oz", "check", bad]) == 1
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_classify_rejects_a_strong_pseudoprime(capsys):
+    assert main(["classify", "UHF(318665857834031151167461:inf)", "CAR"]) == 1
+    assert "is not prime" in capsys.readouterr().err
+    assert main(["classify", "UHF(618970019642690137449562111:inf)", "CAR"]) == 1
+    assert "not certified" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cuntz.extnat import ExtNat
 from cuntz.multiplicity import Space
@@ -13,6 +14,7 @@ from cuntz.orderzero import (
     NonCommutativeDomain,
     NormExceedsOne,
     NotDominated,
+    NotFinite,
     NotPositive,
     PreconditionViolated,
     ShapeMismatch,
@@ -72,6 +74,18 @@ def test_psd_mode_validates_blocks():
     assert phi.point_rank(0) == 2
 
 
+@pytest.mark.parametrize("entry", [float("inf"), float("nan")])
+def test_new_rejects_non_finite_blocks(entry):
+    # A psd block holding inf or nan has NaN eigenvalues, which pass every
+    # eigenvalue comparison; it must be refused before them.
+    with pytest.raises(NotFinite):
+        oz_new(findim(1), 2, [1], [np.array([[entry]])], "psd")
+    with pytest.raises(NotFinite):
+        oz_new(findim(1), 3, [2], [np.array([[0.5, entry], [entry, 0.5]])], "psd")
+    with pytest.raises(NotFinite):
+        oz_new(findim(1), 2, [1], [(entry,)], "diag")
+
+
 def test_apply_is_the_block_kron():
     phi = diag_map(findim(2), 5, (F(1), F(1, 2)))
     a = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -99,6 +113,7 @@ def test_order_zero_check_passes_for_structure_maps():
     report = oz_check_order_zero(phi, trials=40, seed=1)
     assert report.passed
     assert report.trials == 40
+    assert not report.vacuous
     assert report.max_violation <= report.tolerance
 
 
@@ -122,6 +137,7 @@ def test_scalar_domain_has_no_orthogonal_pairs():
     report = oz_check_order_zero(phi, trials=10, seed=0)
     assert report.passed
     assert report.trials == 0
+    assert report.vacuous
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +208,116 @@ def test_witness_search_is_deterministic_per_seed():
     assert a < 0.5
 
 
+def reference_witness_search(phi, psi, samples, seed):
+    """The search before batching: einsum conjugation, max-entry screening
+    and one op_norm per candidate and generator."""
+    rng = np.random.default_rng(seed)
+    gens = generators(phi.domain)
+    psi_g = np.stack([psi.apply(g) for g in gens])
+    phi_g = np.stack([phi.apply(g) for g in gens])
+    best = float("inf")
+    left = samples
+    while left > 0:
+        s = min(512, left)
+        left -= s
+        bs = rng.standard_normal((s, psi.target_dim, phi.target_dim))
+        bs *= rng.uniform(0.05, 2.0, size=(s, 1, 1))
+        r = np.einsum("sji,gjk,skl->sgil", bs, psi_g, bs) - phi_g[None, :, :, :]
+        lower = np.abs(r).reshape(s, len(gens), -1).max(axis=2).max(axis=1)
+        for idx in np.argsort(lower):
+            if lower[idx] >= best:
+                break
+            best = min(best, max(op_norm(r[idx, g]) for g in range(len(gens))))
+    return best
+
+
+def random_block(rng, mode, size, rank):
+    """A positive contraction of the given size and rank, spectrum in [1/4, 1]."""
+    eigs = np.concatenate([rng.uniform(0.25, 1.0, rank), np.zeros(size - rank)])
+    if mode == "diag":
+        return tuple(F(x).limit_denominator(64) for x in eigs)
+    u, _ = np.linalg.qr(rng.standard_normal((size, size)))
+    h = (u * eigs) @ u.T
+    return (h + h.T) / 2
+
+
+def random_map(rng, mode, ranks, target_dim):
+    sizes = [r + int(rng.integers(0, 2)) for r in ranks]
+    while sum(sizes) > target_dim:
+        slack = [s - r for s, r in zip(sizes, ranks)]
+        sizes[int(np.argmax(slack if max(slack) > 0 else sizes))] -= 1
+    blocks = [random_block(rng, mode, s, min(r, s)) for s, r in zip(sizes, ranks)]
+    return oz_new(findim(*[1] * len(ranks)), target_dim, sizes, blocks, mode)
+
+
+def obstructed_pair(rng, mode, points, phi_dim, psi_dim):
+    """phi, psi with rank phi > rank psi at a random point, provided that
+    phi's ranks fit into phi_dim (always so for phi_dim >= 2 * points)."""
+    phi_ranks = [int(x) for x in rng.integers(0, 3, points)]
+    j = int(rng.integers(points))
+    phi_ranks[j] = max(phi_ranks[j], 1)
+    psi_ranks = [int(x) for x in rng.integers(0, 3, points)]
+    psi_ranks[j] = int(rng.integers(0, phi_ranks[j]))
+    phi = random_map(rng, mode, phi_ranks, phi_dim)
+    psi = random_map(rng, mode, psi_ranks, psi_dim)
+    return phi, psi
+
+
+@pytest.mark.parametrize("mode", ["diag", "psd"])
+@pytest.mark.parametrize("points", [1, 2, 3, 4])
+@pytest.mark.parametrize("dims", [(8, 8), (9, 6), (5, 10)])
+def test_witness_search_matches_reference(mode, points, dims):
+    rng = np.random.default_rng([points, *dims, mode == "psd"])
+    phi_dim, psi_dim = dims
+    phi, psi = obstructed_pair(rng, mode, points, phi_dim, psi_dim)
+    for seed in (0, 7):
+        fast = oz_witness_search(phi, psi, samples=1300, seed=seed)
+        assert abs(fast - reference_witness_search(phi, psi, 1300, seed)) <= 1e-12
+    # dominated pairs too: there the minimum lies near zero
+    fast = oz_witness_search(psi, psi, samples=700, seed=1)
+    assert abs(fast - reference_witness_search(psi, psi, 700, 1)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    mode=st.sampled_from(["diag", "psd"]),
+    points=st.integers(1, 4),
+    dims=st.tuples(st.integers(8, 10), st.integers(6, 10)),  # phi's ranks fit
+    seed=st.integers(0, 2**16),
+)
+def test_witness_search_respects_eckart_young(mode, points, dims, seed):
+    # b^T psi(e_i) b has rank <= rank psi_i, so no candidate gets closer to
+    # phi(e_i) than the (rank psi_i + 1)-th singular value of H^phi_i.
+    rng = np.random.default_rng(seed)
+    phi, psi = obstructed_pair(rng, mode, points, *dims)
+    margin = 0.0
+    for i in range(points):
+        sv = np.linalg.svd(phi.block_dense(i), compute_uv=False) if phi.mults[i] else []
+        r = psi.point_rank(i)
+        margin = max(margin, float(sv[r]) if r < len(sv) else 0.0)
+    assert margin >= 0.25 - 1e-12
+    assert oz_witness_search(phi, psi, samples=600, seed=seed) >= margin - 1e-12
+
+
+def test_search_and_verify_accept_an_empty_target():
+    # The zero map into M(0) is below everything: every residual is empty.
+    phi = oz_new(SCALARS, 0, [0], [()], "diag")
+    psi = diag_map(SCALARS, 2, (F(1),))
+    assert oz_witness_search(phi, psi, samples=100, seed=0) == 0.0
+    assert oz_verify_witness(phi, psi, np.zeros((2, 0))).residual == 0.0
+    assert oz_witness_search(psi, phi, samples=100, seed=0) == 1.0
+
+
+def test_verify_witness_matches_per_generator_norms():
+    rng = np.random.default_rng(11)
+    phi, psi = obstructed_pair(rng, "psd", 3, 7, 9)
+    b = rng.standard_normal((9, 7))
+    expected = max(
+        op_norm(b.T @ psi.apply(g) @ b - phi.apply(g)) for g in generators(phi.domain)
+    )
+    assert abs(oz_verify_witness(phi, psi, b).residual - expected) <= 1e-12
+
+
 def test_verify_witness_shapes_and_domains():
     phi = diag_map(findim(1), 2, (F(1),))
     psi = diag_map(findim(1), 3, (F(1),))
@@ -250,6 +376,8 @@ def test_handelman_contraction():
         oz_handelman(b, a, 10)
     with pytest.raises(ShapeMismatch):
         oz_handelman(a, np.eye(3), 10)
+    with pytest.raises(NotFinite):
+        oz_handelman(np.diag([np.inf, 0.0, 0.0, 0.0]), b, 10)
     with pytest.raises(ValueError):
         oz_handelman(a, b, 0)
 

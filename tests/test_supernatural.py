@@ -6,6 +6,7 @@ from cuntz.supernatural import (
     UNIVERSAL,
     DuplicateBase,
     NotPrime,
+    PrimalityNotCertified,
     Supernatural,
     ZeroExponent,
     sn_divides,
@@ -46,6 +47,25 @@ def test_large_prime_accepted():
     big = 2**61 - 1  # Mersenne prime, exercises the Miller-Rabin path
     n = sn_make([(big, ExtNat(2))])
     assert n.exponent(big) == ExtNat(2)
+
+
+def test_strong_pseudoprime_to_bases_up_to_37_is_rejected():
+    # 399165290221 * 798330580441 passes Miller-Rabin to every base <= 37.
+    with pytest.raises(NotPrime):
+        sn_make([(318665857834031151167461, ExtNat(1))])
+    with pytest.raises(NotPrime):
+        sn_parse("318665857834031151167461:inf")
+
+
+def test_primality_above_the_certified_bound_is_an_input_error():
+    # The smallest strong pseudoprime to every base <= 41 and the Mersenne
+    # prime 2^89 - 1 both pass every round; neither is certified.
+    for n in (3317044064679887385961981, 2**89 - 1):
+        with pytest.raises(PrimalityNotCertified, match="not certified"):
+            sn_make([(n, ExtNat(1))])
+    # Composites above the bound are still recognised.
+    with pytest.raises(NotPrime):
+        sn_make([((2**89 - 1) * 3, ExtNat(1))])
 
 
 def test_parse_format_round_trip_examples():
