@@ -693,6 +693,11 @@ def _classify_cx(a: CX, b: CX) -> ClassificationVerdict:
     )
 
 
+def _normal_pair(a: AlgebraExpr, b: AlgebraExpr) -> Tuple[AlgebraExpr, AlgebraExpr]:
+    """Normal forms of both expressions, with C read as M(1)."""
+    return tuple(Mat(1) if isinstance(x, Complex) else x for x in (normalize(a), normalize(b)))
+
+
 def classify(a: AlgebraExpr, b: AlgebraExpr) -> ClassificationVerdict:
     """Isomorphism verdicts on the decidable catalog fragment.
 
@@ -700,12 +705,7 @@ def classify(a: AlgebraExpr, b: AlgebraExpr) -> ClassificationVerdict:
     numbers, finite discrete function algebras through reconstruction of the
     space from the multiplicity monoid; all other pairs are Undecided.
     """
-    a = normalize(a)
-    b = normalize(b)
-    if isinstance(a, Complex):
-        a = Mat(1)
-    if isinstance(b, Complex):
-        b = Mat(1)
+    a, b = _normal_pair(a, b)
     if isinstance(a, Mat) and isinstance(b, Mat):
         if a.n == b.n:
             return ClassificationVerdict(
@@ -786,12 +786,7 @@ def scale_membership_note(a: AlgebraExpr, b: AlgebraExpr) -> ScaleNote:
     The scale is the rank budget of unital-size bookkeeping, {0..floor(m/n)};
     strict invertibility needs 1 in the scales of both directions.
     """
-    a = normalize(a)
-    b = normalize(b)
-    if isinstance(a, Complex):
-        a = Mat(1)
-    if isinstance(b, Complex):
-        b = Mat(1)
+    a, b = _normal_pair(a, b)
     if not (isinstance(a, Mat) and isinstance(b, Mat)):
         raise NotDecidable("scale analysis is only implemented for matrix pairs")
     n, m = a.n, b.n

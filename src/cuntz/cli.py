@@ -70,6 +70,15 @@ _MAP_ERRORS = (
 )
 
 
+# (x <= y, y <= x) -> verdict printed by both compare subcommands.
+_VERDICTS = {
+    (True, True): "equal",
+    (True, False): "leq",
+    (False, True): "geq",
+    (False, False): "incomparable",
+}
+
+
 class CliInputError(Exception):
     pass
 
@@ -165,12 +174,7 @@ def cmd_compare(args) -> int:
         above = mf_leq(mu, nu)
     except SpaceMismatch as exc:
         raise CliInputError(str(exc)) from None
-    verdict = {
-        (True, True): "equal",
-        (True, False): "leq",
-        (False, True): "geq",
-        (False, False): "incomparable",
-    }[(below, above)]
+    verdict = _VERDICTS[(below, above)]
     _emit({"schema": SCHEMA, "verdict": verdict}, [verdict], args.format)
     return 0
 
@@ -237,12 +241,7 @@ def cmd_oz_compare(args) -> int:
         above = oz_cuntz_leq_commutative(psi, phi)
     except (NonCommutativeDomain, SpaceMismatch) as exc:
         raise CliInputError(str(exc)) from None
-    verdict = {
-        (True, True): "equal",
-        (True, False): "leq",
-        (False, True): "geq",
-        (False, False): "incomparable",
-    }[(below, above)]
+    verdict = _VERDICTS[(below, above)]
     doc = {"schema": SCHEMA, "verdict": verdict}
     lines = [verdict]
     if below:

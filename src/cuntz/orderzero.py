@@ -11,15 +11,22 @@ the corresponding reducing subspace, so the map acts as
 zero-padded to the target dimension.  Two numeric modes are supported:
 ``diag`` keeps every H_i diagonal with rational entries so ranks, cuts and
 comparisons are decided exactly; ``psd`` allows arbitrary positive
-semidefinite blocks in floating point with a 1e-10 eigenvalue cutoff.
+semidefinite blocks in floating point.
+
+Every spectral question reads one cached eigensystem per block,
+``OrderZeroMap.spectrum``, and one rank rule: in diag mode every exact
+positive entry counts, in psd mode every eigenvalue above 1e-10 counts.
+Comparison, witness construction, epsilon cuts and epsilon ranks all use
+this rule.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite, sqrt
+from functools import cached_property
+from math import inf, isfinite, sqrt
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -150,19 +157,25 @@ class OrderZeroMap:
         """The positive contraction h of the structure decomposition."""
         return self.apply([np.eye(n) for n in self.domain.blocks])
 
-    def point_rank(self, i: int) -> int:
-        if self.mode == DIAG:
-            return sum(1 for x in self.blocks[i] if x > 0)
-        if self.mults[i] == 0:
-            return 0
-        w = np.linalg.eigvalsh(self.block_dense(i))
-        return int(np.count_nonzero(w > EIG_CUTOFF))
+    @cached_property
+    def spectrum(self) -> Tuple[Tuple[Sequence, np.ndarray], ...]:
+        """Eigenvalues and eigenvectors (as columns) of every H_i.
 
-    def norm(self) -> float:
-        return max(
-            (float(max(h)) if self.mode == DIAG else float(np.linalg.eigvalsh(self.block_dense(i)).max())) if len(h) else 0.0
-            for i, h in enumerate(self.blocks)
-        ) if self.blocks else 0.0
+        Diag mode gives the stored Fraction entries in stored order with the
+        identity basis; psd mode gives ``np.linalg.eigh`` of the block, in
+        ascending order.
+        """
+        if self.mode == DIAG:
+            return tuple((h, np.eye(len(h))) for h in self.blocks)
+        return tuple(np.linalg.eigh(self.block_dense(i)) for i in range(len(self.blocks)))
+
+    @property
+    def cutoff(self):
+        """Eigenvalues above this count as positive: 0 exactly, or 1e-10."""
+        return 0 if self.mode == DIAG else EIG_CUTOFF
+
+    def point_rank(self, i: int) -> int:
+        return sum(1 for x in self.spectrum[i][0] if x > self.cutoff)
 
 
 def oz_new(
@@ -198,10 +211,6 @@ def oz_new(
                 raise DimensionMismatch(
                     f"block {i} has {len(entries)} diagonal entries, multiplicity is {m}"
                 )
-            if any(x < 0 for x in entries):
-                raise NotPositive(f"block {i} has a negative entry")
-            if any(x > 1 for x in entries):
-                raise NormExceedsOne(f"block {i} has an entry above 1")
             stored.append(entries)
         else:
             h = np.asarray(raw, dtype=float)
@@ -209,16 +218,23 @@ def oz_new(
                 raise DimensionMismatch(f"block {i} must be {m}x{m}, got {h.shape}")
             if not np.isfinite(h).all():
                 raise NotFinite(f"block {i} has a non-finite entry")
-            if m:
-                if not np.allclose(h, h.T, atol=EIG_CUTOFF):
-                    raise NotPositive(f"block {i} is not symmetric")
-                w = np.linalg.eigvalsh(h)
-                if w.min(initial=0.0) < -EIG_CUTOFF:
-                    raise NotPositive(f"block {i} has eigenvalue {w.min()}")
-                if w.max(initial=0.0) > 1 + EIG_CUTOFF:
-                    raise NormExceedsOne(f"block {i} has eigenvalue {w.max()}")
+            if not np.allclose(h, h.T, atol=EIG_CUTOFF):
+                raise NotPositive(f"block {i} is not symmetric")
             stored.append(h)
-    return OrderZeroMap(domain, int(target_dim), mults, tuple(stored), mode)
+    phi = OrderZeroMap(domain, int(target_dim), mults, tuple(stored), mode)
+    for i, (w, _) in enumerate(phi.spectrum):
+        low, high = min(w, default=0), max(w, default=0)
+        if low < -phi.cutoff:
+            raise NotPositive(
+                f"block {i} has a negative entry" if mode == DIAG
+                else f"block {i} has eigenvalue {low}"
+            )
+        if high > 1 + phi.cutoff:
+            raise NormExceedsOne(
+                f"block {i} has an entry above 1" if mode == DIAG
+                else f"block {i} has eigenvalue {high}"
+            )
+    return phi
 
 
 def generators(domain: FinDimAlgebra) -> List[List[np.ndarray]]:
@@ -310,24 +326,14 @@ def _corner_psd(n: int, coords: Sequence[int], rng: random.Random) -> np.ndarray
 
 def oz_eps_cut(phi: OrderZeroMap, eps) -> OrderZeroMap:
     """The cut-down (h - eps)+ applied to the structure decomposition."""
-    if phi.mode == DIAG:
-        e = Fraction(eps)
-        if e < 0:
-            raise NotPositive("eps must be >= 0")
-        blocks = tuple(tuple(max(x - e, Fraction(0)) for x in h) for h in phi.blocks)
-        return OrderZeroMap(phi.domain, phi.target_dim, phi.mults, blocks, DIAG)
-    e = float(eps)
-    if e < 0:
+    e = Fraction(eps) if phi.mode == DIAG else float(eps)
+    if not e >= 0:  # also refuses NaN
         raise NotPositive("eps must be >= 0")
-    blocks = []
-    for i, m in enumerate(phi.mults):
-        if m == 0:
-            blocks.append(np.zeros((0, 0)))
-            continue
-        w, v = np.linalg.eigh(phi.block_dense(i))
-        w = np.clip(w - e, 0.0, None)
-        blocks.append((v * w) @ v.T)
-    return OrderZeroMap(phi.domain, phi.target_dim, phi.mults, tuple(blocks), PSD)
+    if phi.mode == DIAG:
+        blocks = tuple(tuple(max(x - e, Fraction(0)) for x in w) for w, _ in phi.spectrum)
+    else:
+        blocks = tuple((v * np.clip(w - e, 0.0, None)) @ v.T for w, v in phi.spectrum)
+    return OrderZeroMap(phi.domain, phi.target_dim, phi.mults, blocks, phi.mode)
 
 
 def oz_multiplicity(phi: OrderZeroMap) -> MultiplicityFunction:
@@ -402,8 +408,9 @@ def oz_construct_witness(
 ) -> WitnessReport:
     """Build an explicit witness for phi <= psi by spectral matching.
 
-    Positive eigenvalues are paired point by point in decreasing order and
-    scaled by sqrt(lambda/mu); the residual vanishes up to rounding.
+    The eigenvalues that count as positive (the ones ``point_rank`` counts)
+    are paired point by point in decreasing order and scaled by
+    sqrt(lambda/mu); the residual vanishes up to rounding.
     """
     if not oz_cuntz_leq_commutative(phi, psi):
         raise PreconditionViolated("phi is not below psi; no witness exists")
@@ -411,31 +418,25 @@ def oz_construct_witness(
     for i in range(len(phi.domain.blocks)):
         lam, vecs_phi = _eigpairs(phi, i)
         mu, vecs_psi = _eigpairs(psi, i)
-        pos_phi = [j for j, x in enumerate(lam) if x > EIG_CUTOFF]
-        pos_psi = [j for j, x in enumerate(mu) if x > EIG_CUTOFF]
         off_phi, off_psi = phi.offsets[i], psi.offsets[i]
-        for jp, jq in zip(pos_phi, pos_psi):
-            scale = sqrt(lam[jp] / mu[jq])
-            col = vecs_phi[:, jp]
-            row = vecs_psi[:, jq]
-            mp, mq = len(lam), len(mu)
-            b[off_psi : off_psi + mq, off_phi : off_phi + mp] += scale * np.outer(
-                row, col
-            )
+        mp, mq = phi.mults[i], psi.mults[i]
+        for x, col, y, row in zip(lam, vecs_phi.T, mu, vecs_psi.T):
+            scale = sqrt(x / y) if y else inf
+            # A positive exact eigenvalue of psi that underflows a float has
+            # no finite scale; its pair stays out and shows in the residual.
+            if scale < inf:
+                b[off_psi : off_psi + mq, off_phi : off_phi + mp] += scale * np.outer(
+                    row, col
+                )
     return oz_verify_witness(phi, psi, b, tol)
 
 
-def _eigpairs(phi: OrderZeroMap, i: int) -> Tuple[np.ndarray, np.ndarray]:
-    m = phi.mults[i]
-    if m == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    if phi.mode == DIAG:
-        w = np.array([float(x) for x in phi.blocks[i]])
-        order = np.argsort(-w)
-        return w[order], np.eye(m)[:, order]
-    w, v = np.linalg.eigh(phi.block_dense(i))
-    order = np.argsort(-w)
-    return w[order], v[:, order]
+def _eigpairs(phi: OrderZeroMap, i: int) -> Tuple[List[float], np.ndarray]:
+    """The positive eigenpairs of H_i, largest first, eigenvalues as floats."""
+    w, v = phi.spectrum[i]
+    wf = np.array([float(x) for x in w])
+    order = [j for j in np.argsort(-wf) if w[j] > phi.cutoff]
+    return wf[order].tolist(), v[:, order]
 
 
 @dataclass
@@ -451,56 +452,50 @@ class EpsRankReport:
 def oz_eps_rank_inequality(phi: OrderZeroMap, a: Element, eps) -> EpsRankReport:
     """Compare rank((phi(a) - eps)+) with rank(phi((a - eps)+)).
 
-    Decided exactly when the map is diagonal and ``a`` is given by diagonal
-    rational blocks; otherwise computed in floating point with the 1e-10
-    eigenvalue cutoff.
+    Both ranks are counts over the eigenvalues lambda * mu of H_i (x) a_i:
+    the left one counts lambda * mu > eps + cut, the right one
+    lambda * (mu - eps)+ > cut.  A block of ``a`` is an n x n matrix or a
+    length-n sequence of numbers, read as its diagonal.  The count is exact
+    (cut 0) when the map is diagonal and every block of ``a`` is a diagonal
+    of ints or Fractions; otherwise it runs in floating point with the 1e-10
+    cutoff.
     """
-    exact = phi.mode == DIAG and _is_exact_diag(a, phi.domain)
+    sizes = phi.domain.blocks
+    if len(a) != len(sizes):
+        raise DimensionMismatch("element blocks do not match the domain")
+    exact = phi.mode == DIAG and all(
+        isinstance(blk, (tuple, list))
+        and len(blk) == n
+        and all(isinstance(x, (int, Fraction)) for x in blk)
+        for blk, n in zip(a, sizes)
+    )
     if exact:
-        e = Fraction(eps)
-        if e < 0:
-            raise NotPositive("eps must be >= 0")
-        diags = [tuple(Fraction(x) for x in blk) for blk in a]
-        for blk in diags:
-            if any(x < 0 for x in blk):
-                raise NotPositive("the element must be positive")
-        lhs = rhs = 0
-        for i, blk in enumerate(diags):
-            for lam in phi.blocks[i]:
-                for x in blk:
-                    if lam * x > e:
-                        lhs += 1
-                    if lam > 0 and x > e:
-                        rhs += 1
-        return EpsRankReport(lhs, rhs)
-
-    e = float(eps)
-    if e < 0:
+        cut, e = 0, Fraction(eps)
+        lams = [w for w, _ in phi.spectrum]
+        mus = [tuple(Fraction(x) for x in blk) for blk in a]
+    else:
+        cut, e = EIG_CUTOFF, float(eps)
+        lams = [[float(x) for x in w] for w, _ in phi.spectrum]
+        mus = [_element_eigenvalues(blk, n, i) for i, (blk, n) in enumerate(zip(a, sizes))]
+    if not e >= 0:  # also refuses NaN
         raise NotPositive("eps must be >= 0")
-    mats = [np.atleast_2d(np.asarray(blk, dtype=float)) for blk in a]
-    cut = []
-    for m_blk in mats:
-        w, v = np.linalg.eigh(m_blk)
-        if w.min(initial=0.0) < -EIG_CUTOFF:
-            raise NotPositive("the element must be positive")
-        cut.append((v * np.clip(w - e, 0.0, None)) @ v.T)
-    lhs = int(np.count_nonzero(np.linalg.eigvalsh(phi.apply(mats)) > e + EIG_CUTOFF))
-    rhs_mat = phi.apply(cut)
-    rhs = int(np.count_nonzero(np.linalg.eigvalsh(rhs_mat) > EIG_CUTOFF))
+    if any(x < -cut for mu in mus for x in mu):
+        raise NotPositive("the element must be positive")
+    pairs = [(x, y) for lam, mu in zip(lams, mus) for x in lam for y in mu]
+    lhs = sum(1 for x, y in pairs if x * y > e + cut)
+    rhs = sum(1 for x, y in pairs if x * max(y - e, 0) > cut)
     return EpsRankReport(lhs, rhs)
 
 
-def _is_exact_diag(a: Element, domain: FinDimAlgebra) -> bool:
-    if len(a) != len(domain.blocks):
-        raise DimensionMismatch("element blocks do not match the domain")
-    for blk, n in zip(a, domain.blocks):
-        if isinstance(blk, np.ndarray):
-            return False
-        if not isinstance(blk, (tuple, list)) or len(blk) != n:
-            return False
-        if not all(isinstance(x, (int, Fraction)) for x in blk):
-            return False
-    return True
+def _element_eigenvalues(blk, n: int, i: int) -> np.ndarray:
+    """Float eigenvalues of element block i: a length-n sequence of numbers
+    is its diagonal, anything else the n x n matrix itself."""
+    x = np.atleast_1d(np.asarray(blk, dtype=float))
+    if x.shape not in ((n,), (n, n)):
+        raise DimensionMismatch(f"block {i} must be {n}x{n}, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise NotFinite(f"block {i} has a non-finite entry")
+    return x if x.ndim == 1 else np.linalg.eigvalsh(x)
 
 
 @dataclass

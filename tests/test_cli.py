@@ -242,6 +242,19 @@ def test_oz_witness_obstructed_pair(phi_file, psi_file, capsys):
     assert "reason" in doc
 
 
+def test_oz_tiny_exact_entry_is_compared_and_witnessed(phi_file, tmp_path, capsys):
+    half = write(tmp_path, "half.json", diag_map_doc(2, ["1/2"]))
+    tiny = write(tmp_path, "tiny.json", diag_map_doc(2, ["1/1000000000000"]))
+    assert main(["oz", "compare", half, tiny]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "equal"
+    assert main(["oz", "compare", half, tiny, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["witness_residual"] <= doc["tolerance"]
+    assert main(["oz", "witness", half, tiny]) == 0
+    assert capsys.readouterr().out.startswith("witness accepted: ")
+
+
 def test_oz_rejects_malformed_map(tmp_path, capsys):
     doc = diag_map_doc(3, ["1", "1/2"])
     doc["blocks"] = [[["1", "1/3"], ["0", "1/2"]]]  # off-diagonal entry

@@ -98,6 +98,25 @@ def test_apply_is_the_block_kron():
         phi.apply([np.eye(3)])
 
 
+def test_spectrum_is_cached_per_map(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+    h = np.array([[0.5, 0.25], [0.25, 0.5]])
+    phi = oz_new(findim(1, 1), 4, [2, 1], [h, np.array([[0.25]])], "psd")
+    assert calls == [(2, 2), (1, 1)]
+    w, v = phi.spectrum[0]
+    assert np.allclose(w, [0.25, 0.75]) and np.allclose((v * w) @ v.T, h)
+    assert oz_multiplicity(phi).value_at("x1") == ExtNat(2)
+    oz_eps_cut(phi, 0.3)
+    assert oz_construct_witness(phi, phi).passed
+    assert calls == [(2, 2), (1, 1)]
+    exact = diag_map(findim(1), 3, (F(1, 4), F(0), F(1)))
+    assert exact.spectrum[0][0] == (F(1, 4), F(0), F(1))
+    assert np.array_equal(exact.spectrum[0][1], np.eye(3))
+    assert exact.point_rank(0) == 2
+
+
 def test_zero_multiplicity_blocks_are_allowed():
     phi = oz_new(findim(1, 1), 4, [0, 2], [(), (F(1), F(1, 4))], "diag")
     assert phi.point_rank(0) == 0
@@ -159,6 +178,8 @@ def test_eps_cut_psd_matches_spectral_cut():
     cut = oz_eps_cut(phi, 0.3)
     w = np.linalg.eigvalsh(cut.block_dense(0))
     assert np.allclose(sorted(w), [0.0, 0.45], atol=1e-12)
+    with pytest.raises(NotPositive):
+        oz_eps_cut(phi, float("nan"))
 
 
 def test_multiplicity_profile():
@@ -329,6 +350,32 @@ def test_verify_witness_shapes_and_domains():
     assert exact.passed
 
 
+def test_tiny_exact_entries_count_in_comparison_and_witness():
+    # point_rank counts every exact positive entry; the witness must pair
+    # the same eigenvalues, not only those above the float cutoff.
+    phi = diag_map(SCALARS, 2, (F(1, 2),))
+    psi = diag_map(SCALARS, 2, (F(1, 10**12),))
+    assert psi.point_rank(0) == 1
+    assert oz_cuntz_leq_commutative(phi, psi) and oz_cuntz_leq_commutative(psi, phi)
+    for a, b in ((phi, psi), (psi, phi)):
+        report = oz_construct_witness(a, b)
+        assert report.passed
+        assert report.residual < 1e-12
+    assert oz_eps_cut(psi, 0).point_rank(0) == 1
+    assert oz_eps_rank_inequality(psi, [(F(1),)], 0).lhs_rank == 1
+
+
+def test_witness_for_an_entry_below_the_float_range_is_rejected():
+    # 10^-400 counts exactly but is 0.0 as a float: no finite scale pairs
+    # with it, so the witness misses phi and says so instead of raising.
+    phi = diag_map(SCALARS, 2, (F(1, 2),))
+    psi = diag_map(SCALARS, 2, (F(1, 10**400),))
+    assert oz_cuntz_leq_commutative(phi, psi)
+    report = oz_construct_witness(phi, psi)
+    assert not report.passed
+    assert report.residual == 0.5
+
+
 def test_witness_construction_needs_commutative_domain():
     phi = diag_map(findim(2), 5, (F(1, 2),))
     psi = diag_map(findim(2), 5, (F(1), F(3, 4)))
@@ -361,6 +408,99 @@ def test_eps_rank_inequality_is_strict_sometimes():
     assert rep.lhs_rank == 0
     assert rep.rhs_rank == 1
     assert rep.holds
+
+
+def reference_eps_rank(phi, a, eps):
+    """The float epsilon-rank before the spectral count: eigvalsh of the two
+    dense target-size matrices phi(a) and phi((a - eps)+)."""
+    e = float(eps)
+    mats = [np.atleast_2d(np.asarray(blk, dtype=float)) for blk in a]
+    cut = []
+    for m_blk in mats:
+        w, v = np.linalg.eigh(m_blk)
+        cut.append((v * np.clip(w - e, 0.0, None)) @ v.T)
+    lhs = int(np.count_nonzero(np.linalg.eigvalsh(phi.apply(mats)) > e + 1e-10))
+    rhs = int(np.count_nonzero(np.linalg.eigvalsh(phi.apply(cut)) > 1e-10))
+    return lhs, rhs
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    mode=st.sampled_from(["diag", "psd"]),
+    sizes=st.lists(st.integers(1, 2), min_size=1, max_size=3),
+    form=st.sampled_from(["matrix", "exact diagonal", "float diagonal"]),
+    eps=st.integers(0, 16).map(lambda k: F(k, 16)),
+    seed=st.integers(0, 2**16),
+)
+def test_eps_rank_matches_dense_reference(mode, sizes, form, eps, seed):
+    rng = np.random.default_rng(seed)
+    mults = [int(rng.integers(0, 3)) for _ in sizes]
+    blocks = [random_block(rng, mode, m, int(rng.integers(0, m + 1))) for m in mults]
+    phi = oz_new(findim(*sizes), sum(m * n for m, n in zip(mults, sizes)), mults, blocks, mode)
+    diags = [[F(int(k), 16) for k in rng.integers(0, 17, n)] for n in sizes]
+    mats = []
+    for d in diags:
+        u, _ = np.linalg.qr(rng.standard_normal((len(d), len(d))))
+        mats.append((u * [float(x) for x in d]) @ u.T)
+    a = {
+        "matrix": mats,
+        "exact diagonal": [tuple(d) for d in diags],
+        "float diagonal": [tuple(float(x) for x in d) for d in diags],
+    }[form]
+    rep = oz_eps_rank_inequality(phi, a, eps)
+    assert type(rep.lhs_rank) is int and type(rep.rhs_rank) is int
+    assert (rep.lhs_rank, rep.rhs_rank) == reference_eps_rank(phi, mats, eps)
+
+
+@pytest.mark.parametrize("mode", ["diag", "psd"])
+def test_eps_rank_reads_diagonal_forms_in_both_modes(mode):
+    h = (F(1, 2), F(1, 4)) if mode == "diag" else np.array([[0.5, 0.125], [0.125, 0.25]])
+    phi = oz_new(findim(2), 4, [2], [h], mode)
+    dense = oz_eps_rank_inequality(phi, [np.diag([0.5, 0.25])], 0.125)
+    for a, eps in (
+        ([(F(1, 2), F(1, 4))], F(1, 8)),
+        ([(0.5, 0.25)], 0.125),
+        ([np.array([0.5, 0.25])], 0.125),
+    ):
+        rep = oz_eps_rank_inequality(phi, a, eps)
+        assert (rep.lhs_rank, rep.rhs_rank) == (dense.lhs_rank, dense.rhs_rank)
+    assert (dense.lhs_rank, dense.rhs_rank) == reference_eps_rank(
+        phi, [np.diag([0.5, 0.25])], 0.125
+    )
+
+
+def test_eps_rank_cutoff_follows_the_rank_rule():
+    # (phi(a) - eps)+ has eigenvalue 1e-11 here: positive exactly, but not
+    # above the float cutoff.
+    eps = F(1, 4) - F(1, 10**11)
+    exact = oz_eps_rank_inequality(diag_map(SCALARS, 1, (F(1, 2),)), [(F(1, 2),)], eps)
+    assert (exact.lhs_rank, exact.rhs_rank) == (1, 1)
+    phi = oz_new(SCALARS, 1, [1], [np.array([[0.5]])], "psd")
+    rep = oz_eps_rank_inequality(phi, [(0.5,)], float(eps))
+    assert (rep.lhs_rank, rep.rhs_rank) == (0, 1) == reference_eps_rank(phi, [[[0.5]]], eps)
+
+
+@pytest.mark.parametrize("mode", ["diag", "psd"])
+def test_eps_rank_rejects_bad_elements(mode):
+    h = (F(1, 2),) if mode == "diag" else np.array([[0.5]])
+    phi = oz_new(findim(1, 2), 4, [1, 1], [h, h], mode)
+    ok = [(F(1, 2),), (F(1), F(1, 4))]
+    for entry in (float("nan"), float("inf")):
+        with pytest.raises(NotFinite):
+            oz_eps_rank_inequality(phi, [np.array([[entry]]), np.eye(2)], 0.1)
+        with pytest.raises(NotFinite):
+            oz_eps_rank_inequality(phi, [(0.5,), (entry, 0.5)], 0.1)
+    with pytest.raises(NotPositive):
+        oz_eps_rank_inequality(phi, [(0.5,), (1.0, 0.25)], float("nan"))
+    with pytest.raises(NotPositive):
+        oz_eps_rank_inequality(phi, ok, F(-1, 4))
+    with pytest.raises(NotPositive):
+        oz_eps_rank_inequality(phi, [(0.5,), np.diag([1.0, -0.5])], 0.1)
+    with pytest.raises(DimensionMismatch):
+        oz_eps_rank_inequality(phi, ok[:1], 0.1)
+    for bad in ((F(1), F(1), F(1)), np.eye(3), np.ones((1, 2))):
+        with pytest.raises(DimensionMismatch):
+            oz_eps_rank_inequality(phi, [ok[0], bad], 0.1)
 
 
 def test_handelman_contraction():
