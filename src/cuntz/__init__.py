@@ -1,165 +1,11 @@
 """Exact-arithmetic calculator for Cuntz-type invariants of catalog algebras.
 
-The package has three layers: exact carriers for semigroup values (extended
-naturals, supernatural numbers, multiplicity functions), a numerical
-laboratory for order-zero maps between finite dimensional algebras, and a
-rewrite engine that evaluates the bivariant semigroups W(A, B) and WW(A, B)
-over a catalog of algebra expressions.
+Import from the submodules; the package root exports nothing else.
+Exact carriers: ``cuntz.extnat`` (extended naturals), ``cuntz.supernatural``
+and ``cuntz.multiplicity``, with the fragment checks of ``cuntz.waxioms``.
+Order-zero laboratory: ``cuntz.orderzero``, the only module that loads numpy.
+Rewrite engine: ``cuntz.algebra`` (expressions) and ``cuntz.catalog``
+(W(A, B), WW(A, B) and classification). Command line: ``cuntz.cli``.
 """
-
-from .extnat import (
-    INF,
-    CarValue,
-    Dyadic,
-    ExtNat,
-    car_leq,
-    extnat_add,
-    extnat_sup,
-    way_below,
-)
-from .supernatural import (
-    UNIVERSAL,
-    DuplicateBase,
-    NotPrime,
-    PrimalityNotCertified,
-    Supernatural,
-    ZeroExponent,
-    sn_divides,
-    sn_eq,
-    sn_format,
-    sn_is_infinite_type,
-    sn_make,
-    sn_mul,
-    sn_parse,
-)
-from .waxioms import (
-    AxiomCheck,
-    Fragment,
-    FragmentNotClosed,
-    check_wm_axioms,
-    check_wo_axioms,
-    extnat_fragment,
-    extnat_scaling,
-)
-from .multiplicity import (
-    ClosedSet,
-    FragmentInconsistent,
-    MultiplicityFunction,
-    RecoveredSpace,
-    Space,
-    SpaceMismatch,
-    mf,
-    mf_add,
-    mf_equal,
-    mf_from_json,
-    mf_is_idempotent,
-    mf_leq,
-    mf_omega,
-    mf_recover_space,
-    mf_sup_sequence,
-    mf_tau_quotient,
-    mf_to_json,
-    mf_zero,
-    opaque_fragment,
-    recover_from_functions,
-    space_from_json,
-    space_to_json,
-    unit_fragment,
-)
-from .orderzero import (
-    SCALARS,
-    DimensionMismatch,
-    DomainMismatch,
-    EpsRankReport,
-    FinDimAlgebra,
-    HandelmanReport,
-    NonCommutativeDomain,
-    NormExceedsOne,
-    NotDominated,
-    NotFinite,
-    NotPositive,
-    OrderZeroMap,
-    OrthogonalityReport,
-    PreconditionViolated,
-    ShapeMismatch,
-    WitnessReport,
-    comparison_certificate,
-    findim,
-    generators,
-    oz_check_order_zero,
-    oz_construct_witness,
-    oz_cuntz_leq_commutative,
-    oz_direct_sum_hat,
-    oz_eps_cut,
-    oz_eps_rank_inequality,
-    oz_from_json,
-    oz_handelman,
-    oz_join_direct_sum,
-    oz_kronecker_rank,
-    oz_multiplicity,
-    oz_new,
-    oz_split_direct_sum,
-    oz_to_json,
-    oz_verify_witness,
-    oz_witness_search,
-)
-from .algebra import (
-    COMPLEX,
-    CX,
-    AlgebraExpr,
-    Compacts,
-    Complex,
-    DirectSum,
-    ExprSyntaxError,
-    FinDim,
-    JiangSu,
-    KirchbergSimple,
-    Mat,
-    MatAmp,
-    MatInf,
-    Stabilize,
-    Tensor,
-    UHF,
-    absorbs,
-    is_exact,
-    is_unital,
-    leaves,
-    normalize,
-    parse_algebra,
-    simple_summand_count,
-    to_text,
-)
-from .catalog import (
-    CarSG,
-    ClassificationVerdict,
-    CuOfSG,
-    DirectSumSG,
-    ExtNatSG,
-    IdealLatticeSG,
-    MfSG,
-    MfiSG,
-    NatSG,
-    NotDecidable,
-    Query,
-    ScaleNote,
-    SemigroupValue,
-    TraceStep,
-    TwoPointSG,
-    UnknownSG,
-    WOfSG,
-    ZeroSG,
-    classify,
-    compose_product,
-    direct_sum_value,
-    eval_W,
-    eval_WW,
-    eval_cuntz_homology,
-    explore_values,
-    has_unknown,
-    query_text,
-    scale_membership_note,
-    value_text,
-    value_to_json,
-)
 
 __version__ = "0.1.0"

@@ -26,7 +26,6 @@ from typing import Iterator, List, Optional, Tuple
 
 from .supernatural import (
     Supernatural,
-    sn_eq,
     sn_format,
     sn_is_infinite_type,
     sn_mul,
@@ -340,55 +339,48 @@ def parse_algebra(text: str) -> AlgebraExpr:
     return _Parser(text).parse()
 
 
-def _prec(expr: AlgebraExpr) -> int:
-    if isinstance(expr, DirectSum):
-        return 1
-    if isinstance(expr, Tensor):
-        return 2
-    return 3
-
-
 def to_text(expr: AlgebraExpr) -> str:
     """Render an expression in the catalog syntax (reparseable)."""
-    if isinstance(expr, Complex):
-        return "C"
-    if isinstance(expr, Mat):
-        return f"M({expr.n})"
-    if isinstance(expr, FinDim):
-        return f"F({','.join(str(n) for n in expr.sizes)})"
-    if isinstance(expr, CX):
-        return f"CX({','.join(expr.points)})"
-    if isinstance(expr, UHF):
-        return f"UHF({sn_format(expr.number)})"
-    if isinstance(expr, JiangSu):
-        return "Z"
-    if isinstance(expr, KirchbergSimple):
-        return expr.name if expr.name in ("O2", "Oinf") else f"Kirchberg({expr.name})"
-    if isinstance(expr, Compacts):
-        return "K"
-    if isinstance(expr, Stabilize):
-        return f"stab({to_text(expr.inner)})"
-    if isinstance(expr, MatInf):
-        return f"Minf({to_text(expr.inner)})"
-    if isinstance(expr, MatAmp):
-        return _binary_text(Tensor(Mat(expr.n), expr.inner))
-    if isinstance(expr, (Tensor, DirectSum)):
-        return _binary_text(expr)
-    raise TypeError(f"not an algebra expression: {expr!r}")
+    form = _FORMS.get(type(expr))
+    if form is None:
+        raise TypeError(f"not an algebra expression: {expr!r}")
+    return form[1](expr)
 
 
 def _binary_text(expr) -> str:
     op = " (x) " if isinstance(expr, Tensor) else " (+) "
-    me = _prec(expr)
+    me = _FORMS[type(expr)][0]
 
     def side(child: AlgebraExpr, right: bool) -> str:
         text = to_text(child)
-        p = _prec(child)
+        p = _FORMS[type(child)][0]
         if p < me or (p == me and right):
             return f"({text})"
         return text
 
     return side(expr.left, False) + op + side(expr.right, True)
+
+
+# class -> (binding precedence, text form); an amplification prints as a
+# tensor product but binds like an atom.
+_FORMS = {
+    Complex: (3, lambda e: "C"),
+    Mat: (3, lambda e: f"M({e.n})"),
+    FinDim: (3, lambda e: f"F({','.join(str(n) for n in e.sizes)})"),
+    CX: (3, lambda e: f"CX({','.join(e.points)})"),
+    UHF: (3, lambda e: f"UHF({sn_format(e.number)})"),
+    JiangSu: (3, lambda e: "Z"),
+    KirchbergSimple: (
+        3,
+        lambda e: e.name if e.name in ("O2", "Oinf") else f"Kirchberg({e.name})",
+    ),
+    Compacts: (3, lambda e: "K"),
+    Stabilize: (3, lambda e: f"stab({to_text(e.inner)})"),
+    MatInf: (3, lambda e: f"Minf({to_text(e.inner)})"),
+    MatAmp: (3, lambda e: _binary_text(Tensor(Mat(e.n), e.inner))),
+    Tensor: (2, _binary_text),
+    DirectSum: (1, _binary_text),
+}
 
 
 def normalize(expr: AlgebraExpr) -> AlgebraExpr:
@@ -608,9 +600,6 @@ def kills_compact_targets(expr: AlgebraExpr) -> bool:
     return False
 
 
-SSA_LEAVES = (JiangSu, KirchbergSimple)
-
-
 def is_strongly_self_absorbing(expr: AlgebraExpr) -> bool:
     """Catalog membership: the Jiang-Su algebra, O2 and Oinf, and UHF
     algebras of infinite type (the universal UHF algebra among them)."""
@@ -633,5 +622,5 @@ def absorbs(target: AlgebraExpr, d: AlgebraExpr) -> bool:
     if isinstance(target, Tensor):
         return absorbs(target.left, d) or absorbs(target.right, d)
     if isinstance(d, UHF) and isinstance(target, UHF):
-        return sn_eq(sn_mul(target.number, d.number), target.number)
+        return sn_mul(target.number, d.number) == target.number
     return target == d

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as _cartesian
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .algebra import (
     COMPLEX,
@@ -25,7 +25,6 @@ from .algebra import (
     Complex,
     DirectSum,
     FinDim,
-    JiangSu,
     KirchbergSimple,
     Mat,
     MatAmp,
@@ -46,51 +45,76 @@ from .algebra import (
 )
 from .extnat import ExtNat
 from .multiplicity import MultiplicityFunction, Space, SpaceMismatch, space_to_json
-from .supernatural import sn_eq, sn_format, sn_parse
+from .supernatural import sn_format, sn_parse
 from .supernatural import _is_prime
 
 DYADIC_SUPERNATURAL = sn_parse("2:inf")
 
 
 class SemigroupValue:
-    """Base class for canonical values; variants below."""
+    """Base class for canonical values; variants below.
+
+    Each variant declares its JSON ``kind`` and its text once: a constant
+    ``symbol``, or a ``text`` method and the JSON ``fields`` besides the kind.
+    """
 
     __slots__ = ()
+    kind = symbol = ""
+
+    def text(self) -> str:
+        return self.symbol
+
+    def fields(self) -> dict:
+        return {}
 
 
 @dataclass(frozen=True)
 class NatSG(SemigroupValue):
-    pass
+    kind, symbol = "Nat", "ℕ₀"
 
 
 @dataclass(frozen=True)
 class ExtNatSG(SemigroupValue):
-    pass
+    kind, symbol = "ExtNat", "ℕ₀∪{∞}"
 
 
 @dataclass(frozen=True)
 class ZeroSG(SemigroupValue):
-    pass
+    kind, symbol = "Zero", "{0}"
 
 
 @dataclass(frozen=True)
 class TwoPointSG(SemigroupValue):
-    pass
+    kind, symbol = "TwoPoint", "{0,∞}"
 
 
 @dataclass(frozen=True)
 class CarSG(SemigroupValue):
     """Dyadic compact values together with a soft positive part."""
 
-
-@dataclass(frozen=True)
-class MfSG(SemigroupValue):
-    space: Space
+    kind, symbol = "Car", "ℕ₀[1/2]⊔(0,∞)"
 
 
 @dataclass(frozen=True)
-class MfiSG(SemigroupValue):
+class _OnSpace(SemigroupValue):
     space: Space
+
+    def text(self) -> str:
+        points = ",".join(self.space.points) if self.space.is_discrete else "[0,1]"
+        return f"{self.symbol}({points})"
+
+    def fields(self) -> dict:
+        return {"space": space_to_json(self.space)}
+
+
+@dataclass(frozen=True)
+class MfSG(_OnSpace):
+    kind = symbol = "Mf"
+
+
+@dataclass(frozen=True)
+class MfiSG(_OnSpace):
+    kind, symbol = "Mfi", "Mf_i"
 
 
 @dataclass(frozen=True)
@@ -98,6 +122,17 @@ class IdealLatticeSG(SemigroupValue):
     """Subsets of k simple summands under intersection."""
 
     summands: int
+    kind = "IdealLattice"
+
+    def text(self) -> str:
+        # A tensor chain of n two-summand algebras has 2^n summands, so the
+        # element count is written as a power past 2^64.
+        k = self.summands
+        size = 2 ** k if k <= 64 else f"2^{k}"
+        return f"ideal lattice on {k} summands ({size} elements, + = ∩)"
+
+    def fields(self) -> dict:
+        return {"summands": self.summands}
 
     def elements(self) -> Tuple[frozenset, ...]:
         base = list(range(1, self.summands + 1))
@@ -118,90 +153,64 @@ class IdealLatticeSG(SemigroupValue):
 @dataclass(frozen=True)
 class DirectSumSG(SemigroupValue):
     summands: Tuple[SemigroupValue, ...]
+    kind = "DirectSum"
 
     def __post_init__(self):
         if not self.summands:
             raise ValueError("a direct sum value needs summands")
 
+    def text(self) -> str:
+        return "⊕[" + ", ".join(value_text(s) for s in self.summands) + "]"
+
+    def fields(self) -> dict:
+        return {"summands": [value_to_json(s) for s in self.summands]}
+
 
 @dataclass(frozen=True)
-class WOfSG(SemigroupValue):
+class _OfAlgebra(SemigroupValue):
     algebra: AlgebraExpr
+
+    def text(self) -> str:
+        return f"{self.symbol}({to_text(self.algebra)})"
+
+    def fields(self) -> dict:
+        return {"algebra": to_text(self.algebra)}
 
 
 @dataclass(frozen=True)
-class CuOfSG(SemigroupValue):
-    algebra: AlgebraExpr
+class WOfSG(_OfAlgebra):
+    kind, symbol = "WOf", "W"
+
+
+@dataclass(frozen=True)
+class CuOfSG(_OfAlgebra):
+    kind, symbol = "CuOf", "Cu"
 
 
 @dataclass(frozen=True)
 class UnknownSG(SemigroupValue):
     query: str
+    kind = "Unknown"
+
+    def text(self) -> str:
+        return f"Unknown[{self.query}]"
+
+    def fields(self) -> dict:
+        return {"query": self.query}
 
 
-def _space_text(space: Space) -> str:
-    if space.kind == "discrete":
-        return ",".join(space.points)
-    return "[0,1]"
+def _value(v: SemigroupValue) -> SemigroupValue:
+    if not isinstance(v, SemigroupValue):
+        raise TypeError(f"not a semigroup value: {v!r}")
+    return v
 
 
 def value_text(v: SemigroupValue) -> str:
-    if isinstance(v, NatSG):
-        return "ℕ₀"
-    if isinstance(v, ExtNatSG):
-        return "ℕ₀∪{∞}"
-    if isinstance(v, ZeroSG):
-        return "{0}"
-    if isinstance(v, TwoPointSG):
-        return "{0,∞}"
-    if isinstance(v, CarSG):
-        return "ℕ₀[1/2]⊔(0,∞)"
-    if isinstance(v, MfSG):
-        return f"Mf({_space_text(v.space)})"
-    if isinstance(v, MfiSG):
-        return f"Mf_i({_space_text(v.space)})"
-    if isinstance(v, IdealLatticeSG):
-        return (
-            f"ideal lattice on {v.summands} summands "
-            f"({2 ** v.summands} elements, + = ∩)"
-        )
-    if isinstance(v, DirectSumSG):
-        return "⊕[" + ", ".join(value_text(s) for s in v.summands) + "]"
-    if isinstance(v, WOfSG):
-        return f"W({to_text(v.algebra)})"
-    if isinstance(v, CuOfSG):
-        return f"Cu({to_text(v.algebra)})"
-    if isinstance(v, UnknownSG):
-        return f"Unknown[{v.query}]"
-    raise TypeError(f"not a semigroup value: {v!r}")
+    return _value(v).text()
 
 
 def value_to_json(v: SemigroupValue) -> dict:
-    if isinstance(v, NatSG):
-        return {"kind": "Nat"}
-    if isinstance(v, ExtNatSG):
-        return {"kind": "ExtNat"}
-    if isinstance(v, ZeroSG):
-        return {"kind": "Zero"}
-    if isinstance(v, TwoPointSG):
-        return {"kind": "TwoPoint"}
-    if isinstance(v, CarSG):
-        return {"kind": "Car"}
-    if isinstance(v, MfSG):
-        return {"kind": "Mf", "space": space_to_json(v.space)}
-    if isinstance(v, MfiSG):
-        return {"kind": "Mfi", "space": space_to_json(v.space)}
-    if isinstance(v, IdealLatticeSG):
-        return {"kind": "IdealLattice", "summands": v.summands}
-    if isinstance(v, DirectSumSG):
-        return {"kind": "DirectSum", "summands": [value_to_json(s) for s in v.summands]}
-    if isinstance(v, WOfSG):
-        return {"kind": "WOf", "algebra": to_text(v.algebra)}
-    if isinstance(v, CuOfSG):
-        return {"kind": "CuOf", "algebra": to_text(v.algebra)}
-    if isinstance(v, UnknownSG):
-        return {"kind": "Unknown", "query": v.query}
-    raise TypeError(f"not a semigroup value: {v!r}")
+    return {"kind": _value(v).kind, **v.fields()}
 
 
 def direct_sum_value(parts: Sequence[SemigroupValue]) -> SemigroupValue:
@@ -234,16 +243,22 @@ class Query:
     b: Optional[AlgebraExpr] = None
 
 
+# variant -> (text form, the value of a query that no rule rewrites, or None
+# for an Unknown one)
+_VARIANTS = {
+    "W": ("W({}, {})", None),
+    "WW": ("WW({}, {})", None),
+    "Wof": ("W({})", WOfSG),
+    "Cuof": ("Cu({})", CuOfSG),
+}
+
+
 def query_text(q: Query) -> str:
-    if q.variant == "W":
-        return f"W({to_text(q.a)}, {to_text(q.b)})"
-    if q.variant == "WW":
-        return f"WW({to_text(q.a)}, {to_text(q.b)})"
-    if q.variant == "Wof":
-        return f"W({to_text(q.a)})"
-    if q.variant == "Cuof":
-        return f"Cu({to_text(q.a)})"
-    raise ValueError(f"unknown query variant {q.variant!r}")
+    if q.variant not in _VARIANTS:
+        raise ValueError(f"unknown query variant {q.variant!r}")
+    return _VARIANTS[q.variant][0].format(
+        to_text(q.a), None if q.b is None else to_text(q.b)
+    )
 
 
 @dataclass(frozen=True)
@@ -289,7 +304,7 @@ def _split(parts: Sequence[Query]) -> _Outcome:
 # The rules.
 
 def _is_dyadic_uhf(e: AlgebraExpr) -> bool:
-    return isinstance(e, UHF) and sn_eq(e.number, DYADIC_SUPERNATURAL)
+    return isinstance(e, UHF) and e.number == DYADIC_SUPERNATURAL
 
 
 def _r_zero(q: Query) -> Optional[_Outcome]:
@@ -531,25 +546,20 @@ def _matches(q: Query) -> List[Tuple[_Rule, _Outcome]]:
 
 
 def _terminal_value(q: Query) -> SemigroupValue:
-    if q.variant == "Wof":
-        return WOfSG(q.a)
-    if q.variant == "Cuof":
-        return CuOfSG(q.a)
-    return UnknownSG(query_text(q))
-
-
-_MAX_STEPS = 64
+    terminal = _VARIANTS[q.variant][1]
+    return terminal(q.a) if terminal else UnknownSG(query_text(q))
 
 
 def _evaluate(q: Query, record_normalize: bool) -> Tuple[SemigroupValue, RewriteTrace]:
     trace: RewriteTrace = []
     nq = _normalize_query(q)
-    if record_normalize and query_text(nq) != query_text(q):
-        trace.append(
-            TraceStep("N", "canonical presentation", query_text(q), query_text(nq))
-        )
+    text = query_text(nq)
+    if record_normalize and text != query_text(q):
+        trace.append(TraceStep("N", "canonical presentation", query_text(q), text))
     q = nq
-    for _ in range(_MAX_STEPS):
+    # A chain of n absorbed factors takes n steps, so the budget grows with
+    # the query: every node of it prints as at least one character.
+    for _ in range(64 + len(text)):
         matched = _matches(q)
         if not matched:
             return _terminal_value(q), trace
@@ -715,7 +725,7 @@ def classify(a: AlgebraExpr, b: AlgebraExpr) -> ClassificationVerdict:
             "NotIsomorphic", f"matrix dimensions differ: {a.n} != {b.n}"
         )
     if isinstance(a, UHF) and isinstance(b, UHF):
-        if sn_eq(a.number, b.number):
+        if a.number == b.number:
             return ClassificationVerdict(
                 "Isomorphic",
                 f"equal supernatural numbers: {sn_format(a.number)}",

@@ -67,6 +67,7 @@ _MAP_ERRORS = (
     ValueError,
     KeyError,
     TypeError,
+    ArithmeticError,
 )
 
 
@@ -99,11 +100,11 @@ def _emit(doc: dict, text_lines: List[str], fmt: str) -> None:
 def _load_doc(path: str) -> dict:
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from None
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CliInputError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
         raise CliInputError(f'{path}: expected a document with "schema": "{SCHEMA}"')
@@ -165,7 +166,7 @@ def cmd_compare(args) -> int:
         space = space_from_json(space_doc)
         nu = mf_from_json(nu_doc)
         mu = mf_from_json(mu_doc)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
         raise CliInputError(f"invalid document: {exc}") from None
     if nu.space != space or mu.space != space:
         raise CliInputError("documents disagree about the underlying space")
@@ -244,11 +245,16 @@ def cmd_oz_compare(args) -> int:
     verdict = _VERDICTS[(below, above)]
     doc = {"schema": SCHEMA, "verdict": verdict}
     lines = [verdict]
+    code = 0 if below else 4
     if below:
         report = oz_construct_witness(phi, psi, tol=args.tol)
         doc["witness_residual"] = report.residual
         doc["tolerance"] = report.tolerance
-        lines.append(f"witness residual {report.residual:.3e} (tol {report.tolerance:g})")
+        status = "residual" if report.passed else "REJECTED: residual"
+        lines.append(f"witness {status} {report.residual:.3e} (tol {report.tolerance:g})")
+        if not report.passed:
+            doc["witness_passed"] = False
+            code = 4
     else:
         cert = comparison_certificate(phi, psi)
         if cert is not None:
@@ -256,7 +262,7 @@ def cmd_oz_compare(args) -> int:
             doc["certificate"] = {"point": point, "phi_rank": lhs, "psi_rank": rhs}
             lines.append(f"rank exceeds at {point}: {lhs} > {rhs}")
     _emit(doc, lines, args.format)
-    return 0 if below else 4
+    return code
 
 
 def cmd_oz_witness(args) -> int:

@@ -118,11 +118,6 @@ _INF_TAG = object()
 
 INF = ExtNat.infinity()
 ZERO = ExtNat(0)
-ONE = ExtNat(1)
-
-
-def extnat_add(x: ExtNat, y: ExtNat) -> ExtNat:
-    return x + y
 
 
 def extnat_sup(values: Iterable[ExtNat]) -> ExtNat:
@@ -145,9 +140,6 @@ def way_below(x: ExtNat, y: ExtNat) -> bool:
     if y.is_finite:
         return x <= y
     return x.is_finite
-
-
-extnat_way_below = way_below
 
 
 @dataclass(frozen=True)

@@ -203,10 +203,6 @@ class MultiplicityFunction:
         isolated = tuple((p, p) for p, _ in self.atoms)
         return ClosedSet.of_intervals(self.essential.segments + isolated)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.atoms and self.essential.is_empty
-
     def __str__(self) -> str:
         parts = [f"{p}:{v}" for p, v in self.atoms]
         if not self.essential.is_empty:
@@ -257,10 +253,6 @@ def mf(
         pairs.append((point, value))
     pairs.sort(key=_atom_key(space))
     return MultiplicityFunction(space, tuple(pairs), ess)
-
-
-def mf_zero(space: Space) -> MultiplicityFunction:
-    return mf(space)
 
 
 def mf_add(
@@ -320,11 +312,6 @@ def mf_omega(closed: ClosedSet) -> MultiplicityFunction:
 def mf_is_idempotent(nu: MultiplicityFunction) -> bool:
     """nu + nu == nu, i.e. every atom already has value inf."""
     return all(not v.is_finite for _, v in nu.atoms)
-
-
-def mf_tau_quotient(nu: MultiplicityFunction) -> ClosedSet:
-    """Collapse to the support: the invariant separating the idempotents."""
-    return nu.support()
 
 
 def dyadic_points() -> Iterator[Fraction]:
@@ -544,14 +531,6 @@ def opaque_fragment(
 # ---------------------------------------------------------------------------
 # JSON interchange.
 
-def _format_rational(q: Fraction) -> str:
-    return str(q)
-
-
-def _parse_rational(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def space_to_json(space: Space) -> dict:
     if space.is_discrete:
         return {"kind": "discrete", "points": list(space.points)}
@@ -559,6 +538,8 @@ def space_to_json(space: Space) -> dict:
 
 
 def space_from_json(doc: dict) -> Space:
+    if not isinstance(doc, dict):
+        raise ValueError(f"a space document is a JSON object, got {doc!r}")
     kind = doc.get("kind")
     if kind == "discrete":
         return Space.discrete(doc["points"])
@@ -570,14 +551,11 @@ def space_from_json(doc: dict) -> Space:
 def mf_to_json(nu: MultiplicityFunction) -> dict:
     atoms = []
     for p, v in nu.atoms:
-        at = p if nu.space.is_discrete else _format_rational(p)
+        at = p if nu.space.is_discrete else str(p)
         atoms.append({"at": at, "mult": v.to_json()})
     doc = {"space": space_to_json(nu.space), "atoms": atoms, "essential": []}
     if not nu.space.is_discrete:
-        doc["essential"] = [
-            [_format_rational(lo), _format_rational(hi)]
-            for lo, hi in nu.essential.segments
-        ]
+        doc["essential"] = [[str(lo), str(hi)] for lo, hi in nu.essential.segments]
     return doc
 
 
@@ -585,12 +563,12 @@ def mf_from_json(doc: dict) -> MultiplicityFunction:
     space = space_from_json(doc["space"])
     atoms = []
     for item in doc.get("atoms", ()):
-        point = item["at"] if space.is_discrete else _parse_rational(item["at"])
+        point = item["at"] if space.is_discrete else Fraction(item["at"])
         atoms.append((point, ExtNat.of(item["mult"])))
     essential = None
     segs = doc.get("essential") or ()
     if segs:
         if space.is_discrete:
             raise ValueError("discrete documents must not carry an essential set")
-        essential = [(_parse_rational(lo), _parse_rational(hi)) for lo, hi in segs]
+        essential = [(Fraction(lo), Fraction(hi)) for lo, hi in segs]
     return mf(space, atoms, essential)

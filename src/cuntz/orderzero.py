@@ -153,10 +153,6 @@ class OrderZeroMap:
             out[off : off + m * n, off : off + m * n] = piece
         return out
 
-    def h_matrix(self) -> np.ndarray:
-        """The positive contraction h of the structure decomposition."""
-        return self.apply([np.eye(n) for n in self.domain.blocks])
-
     @cached_property
     def spectrum(self) -> Tuple[Tuple[Sequence, np.ndarray], ...]:
         """Eigenvalues and eigenvectors (as columns) of every H_i.
@@ -326,7 +322,7 @@ def _corner_psd(n: int, coords: Sequence[int], rng: random.Random) -> np.ndarray
 
 def oz_eps_cut(phi: OrderZeroMap, eps) -> OrderZeroMap:
     """The cut-down (h - eps)+ applied to the structure decomposition."""
-    e = Fraction(eps) if phi.mode == DIAG else float(eps)
+    e = Fraction(eps) if phi.mode == DIAG else _float(eps)
     if not e >= 0:  # also refuses NaN
         raise NotPositive("eps must be >= 0")
     if phi.mode == DIAG:
@@ -334,6 +330,14 @@ def oz_eps_cut(phi: OrderZeroMap, eps) -> OrderZeroMap:
     else:
         blocks = tuple((v * np.clip(w - e, 0.0, None)) @ v.T for w, v in phi.spectrum)
     return OrderZeroMap(phi.domain, phi.target_dim, phi.mults, blocks, phi.mode)
+
+
+def _float(x) -> float:
+    """``float(x)``, saturating to +-inf where x lies beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return inf if x > 0 else -inf
 
 
 def oz_multiplicity(phi: OrderZeroMap) -> MultiplicityFunction:
@@ -398,6 +402,8 @@ def oz_verify_witness(
         raise ShapeMismatch(
             f"witness must be {psi.target_dim}x{phi.target_dim}, got {b.shape}"
         )
+    if not np.isfinite(b).all():
+        raise NotFinite("the witness has a non-finite entry")
     psi_g, phi_g = _generator_images(phi, psi)
     residual = float(_op_norms(_residuals(b[None], psi_g, phi_g)).max())
     return WitnessReport(b, residual, tol)
@@ -474,7 +480,7 @@ def oz_eps_rank_inequality(phi: OrderZeroMap, a: Element, eps) -> EpsRankReport:
         lams = [w for w, _ in phi.spectrum]
         mus = [tuple(Fraction(x) for x in blk) for blk in a]
     else:
-        cut, e = EIG_CUTOFF, float(eps)
+        cut, e = EIG_CUTOFF, _float(eps)
         lams = [[float(x) for x in w] for w, _ in phi.spectrum]
         mus = [_element_eigenvalues(blk, n, i) for i, (blk, n) in enumerate(zip(a, sizes))]
     if not e >= 0:  # also refuses NaN
@@ -727,5 +733,5 @@ def oz_from_json(doc: dict) -> OrderZeroMap:
                         )
             blocks.append(diag)
         else:
-            blocks.append(np.array([[float(x) for x in r] for r in rows]))
+            blocks.append(np.array([[float(x) for x in r] for r in rows]).reshape(m, m))
     return oz_new(domain, int(doc["target_dim"]), mults, blocks, mode)

@@ -133,10 +133,6 @@ def sn_mul(a: Supernatural, b: Supernatural) -> Supernatural:
     return Supernatural(tuple(sorted(merged.items())))
 
 
-def sn_eq(a: Supernatural, b: Supernatural) -> bool:
-    return a == b
-
-
 def sn_divides(a: Supernatural, b: Supernatural) -> bool:
     """a divides b iff every exponent of a is dominated by b's."""
     if b.universal:

@@ -3,6 +3,7 @@ import pytest
 from cuntz.algebra import COMPLEX, Mat, Tensor, parse_algebra, to_text
 from cuntz.catalog import (
     CarSG,
+    CuOfSG,
     DirectSumSG,
     ExtNatSG,
     IdealLatticeSG,
@@ -96,6 +97,29 @@ def test_absorption_identity(d):
     rhs, _ = W("M(2)", f"M(3) (x) {d}")
     assert lhs == rhs
     assert not has_unknown(lhs)
+
+
+SSA_CANONICAL = {
+    "Z": "Z", "CAR": "UHF(2:inf)", "Q": "UHF(Q)", "O2": "O2", "Oinf": "Oinf",
+    "UHF(3:inf)": "UHF(3:inf)",
+}
+
+
+@pytest.mark.parametrize("n", [70, 80])
+@pytest.mark.parametrize("d", sorted(SSA_CANONICAL))
+def test_long_absorbed_chains_evaluate(d, n):
+    # D^n is D: one rewrite step per absorbed factor, past the old fixed
+    # budget of 64 steps.
+    chain = " (x) ".join([d] * n)
+    self_pairing = CarSG() if d == "CAR" else WOfSG(parse_algebra(SSA_CANONICAL[d]))
+    for target, expected in [
+        (d, self_pairing),
+        (f"M(2) (x) {d}", self_pairing),
+        (f"stab({d})", CuOfSG(parse_algebra(SSA_CANONICAL[d]))),
+    ]:
+        value, trace = W(chain, target)
+        assert value == expected
+        assert len(trace) >= n
 
 
 def test_homology_values():

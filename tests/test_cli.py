@@ -1,6 +1,13 @@
+import contextlib
+import copy
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cuntz.cli import main
 
@@ -345,3 +352,192 @@ def test_unknown_command_exits_1(capsys):
 
 def test_axioms_unknown_carrier_rejected(capsys):
     assert main(["axioms", "dyadic"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# Inputs that once ended in a traceback or a wrong exit code.
+
+def test_oz_compare_exits_4_when_its_witness_is_rejected(tmp_path, capsys):
+    # 10^-400 counts for the rank but has no float scale, so the ranks say
+    # equal while the witness misses phi; the exit code follows the witness.
+    half = write(tmp_path, "half.json", diag_map_doc(2, ["1/2"]))
+    tiny = write(tmp_path, "tiny.json", diag_map_doc(2, [f"1/{10 ** 400}"]))
+    assert main(["oz", "compare", half, tiny]) == 4
+    assert capsys.readouterr().out == (
+        "equal\nwitness REJECTED: residual 5.000e-01 (tol 1e-06)\n"
+    )
+    assert main(["oz", "compare", half, tiny, "--format", "json"]) == 4
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["verdict"], doc["witness_passed"]) == ("equal", False)
+    assert main(["oz", "witness", half, tiny]) == 4
+    assert capsys.readouterr().out.startswith("witness REJECTED: residual 5.000e-01")
+
+
+def test_oz_compare_keeps_the_bytes_of_a_passing_witness(phi_file, psi_file, capsys):
+    assert main(["oz", "compare", phi_file, psi_file]) == 0
+    assert capsys.readouterr().out == "leq\nwitness residual 0.000e+00 (tol 1e-06)\n"
+    assert main(["oz", "compare", phi_file, psi_file, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"schema", "verdict", "witness_residual", "tolerance"}
+
+
+def test_compare_refuses_a_space_that_is_not_an_object(tmp_path, space_file, capsys):
+    nu = write(tmp_path, "nu.json", {**mf_doc([("p", 1)]), "space": ["a"]})
+    assert main(["compare", space_file, nu, nu]) == 1
+    assert "invalid document" in capsys.readouterr().err
+
+
+def test_oz_eps_beyond_the_float_range_is_the_full_cut(tmp_path, capsys):
+    doc = {"schema": SCHEMA, "domain": [1], "target_dim": 2, "mult": [2],
+           "blocks": [[[0.5, 0.25], [0.25, 0.5]]], "mode": "psd"}
+    psd = write(tmp_path, "psd.json", doc)
+    assert main(["oz", "eps", psd, "--eps", "2"]) == 0
+    full_cut = capsys.readouterr().out
+    assert main(["oz", "eps", psd, "--eps", "1e400"]) == 0
+    assert capsys.readouterr().out == full_cut
+
+
+def test_eval_of_an_ideal_lattice_too_large_to_count(capsys):
+    # F(2,3)^(x)14 has 2^14 simple summands; 2^(2^14) has more digits than
+    # Python prints, so the element count stays a power.
+    chain = " (x) ".join(["F(2,3)"] * 14)
+    assert main(["eval", "--ww", chain, "O2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].endswith("= ideal lattice on 16384 summands (2^16384 elements, + = ∩)")
+
+
+def test_eval_of_a_long_absorbed_chain(capsys):
+    chain = " (x) ".join(["Z"] * 70)
+    assert main(["eval", chain, "Z"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"W({chain}, Z) = W(Z)"
+    assert len(out) == 1 + 71
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b"\xff\xfe{}", b"[" * 100000, b'{"schema": "cuntz/1", "domain": [1e400]}'],
+    ids=["not-utf-8", "nested-too-deep", "infinite-size"],
+)
+def test_unreadable_documents_are_input_errors(tmp_path, space_file, raw, capsys):
+    path = tmp_path / "raw.json"
+    path.write_bytes(raw)
+    assert main(["compare", space_file, str(path), str(path)]) == 1
+    assert main(["oz", "check", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# Every input ends in an exit code, never in an exception.
+
+LEAVES = [
+    "C", "M(1)", "M(3)", "F(2,3)", "F(4)", "CX(p,q)", "CX(1)", "CAR", "Q", "Z", "O2",
+    "Oinf", "Kirchberg(other)", "K", "UHF(2:inf,3:2)", "UHF(3:inf)", "UHF(5:1)",
+]
+SSA_TEXT = ["Z", "CAR", "Q", "O2", "Oinf", "UHF(3:inf)"]
+
+
+@st.composite
+def expressions(draw, depth):
+    # Parsing, printing and normalizing recurse on the nesting depth, so deep
+    # input can still raise RecursionError until they are made iterative; the
+    # depth stays at 20 until then.
+    shape = draw(st.integers(0, 4)) if depth else 0
+    if shape == 0:
+        return draw(st.sampled_from(LEAVES))
+    a = draw(expressions(depth - 1))
+    if shape == 1:
+        op = draw(st.sampled_from([" (x) ", " (+) "]))
+        return f"{a}{op}({draw(expressions(depth - 1))})"
+    return ["stab({})", "Minf({})", "M(2) (x) ({})"][shape - 2].format(a)
+
+
+EXPRESSIONS = st.one_of(
+    expressions(20),
+    st.builds(lambda d, n: " (x) ".join([d] * n), st.sampled_from(SSA_TEXT), st.integers(1, 100)),
+    st.lists(expressions(2), min_size=1, max_size=100).map(" (x) ".join),
+    st.lists(
+        st.sampled_from(["C", "M", "UHF", "stab", "Z", "(", ")", "(x)", "(+)", ",", ":", "2",
+                         "inf", "0", "#", " "]),
+        max_size=30,
+    ).map("".join),
+)
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3, 4), (argv, code)
+    if code == 1:
+        assert err.getvalue().startswith("error: ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(EXPRESSIONS, EXPRESSIONS)
+def test_every_expression_pair_ends_in_an_exit_code(a, b):
+    for argv in (["eval", a, b], ["eval", "--ww", a, b], ["classify", a, b]):
+        run_cli(argv)
+
+
+WEIRD = [math.inf, -math.inf, math.nan, -1, 0, 1, 2.5, "1/0", "inf", "nan", "x", "",
+         [], {}, None, True, ["a"], [[]]]
+SPACE_DOCS = [{"kind": "discrete", "points": ["p", "q"]}, {"kind": "interval"}]
+MF_DOCS = [
+    {"space": SPACE_DOCS[0], "atoms": [{"at": "p", "mult": 2}, {"at": "q", "mult": "inf"}],
+     "essential": []},
+    {"space": SPACE_DOCS[1], "atoms": [{"at": "1/3", "mult": 1}], "essential": [["1/2", "1"]]},
+]
+MAP_DOCS = [
+    {"domain": [1, 1], "target_dim": 3, "mult": [2, 0], "blocks": [[["1", "0"], ["0", "1/2"]], []],
+     "mode": "diag"},
+    {"domain": [1], "target_dim": 2, "mult": [2], "blocks": [[[0.5, 0.25], [0.25, 0.5]]],
+     "mode": "psd"},
+    {"domain": [2], "target_dim": 2, "mult": [1], "blocks": [[["1/2"]]]},
+]
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def documents(draw, templates):
+    # Dimensions stay small: the order-zero lab builds dense target-size
+    # matrices, so a well-formed document with a huge target_dim is a memory
+    # hazard rather than malformed input.
+    doc = copy.deepcopy(draw(st.sampled_from(templates)))
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        value = draw(st.sampled_from(WEIRD))
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    text = json.dumps({"schema": SCHEMA, **doc} if isinstance(doc, dict) else doc)
+    return draw(st.sampled_from([text, text[: len(text) // 2], text.replace("0.5", "1e400")]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    documents(SPACE_DOCS), documents(MF_DOCS), documents(MF_DOCS),
+    documents(MAP_DOCS), documents(MAP_DOCS),
+    st.sampled_from(["0", "1/2", "2", "1e400", "-1", "nan", "inf", "1/0", "x"]),
+)
+def test_every_document_ends_in_an_exit_code(space, nu, mu, phi, psi, eps):
+    with tempfile.TemporaryDirectory() as tmp:
+        names = {}
+        for name, text in [("space", space), ("nu", nu), ("mu", mu), ("phi", phi), ("psi", psi)]:
+            names[name] = str(Path(tmp) / f"{name}.json")
+            Path(names[name]).write_text(text, encoding="utf-8")
+        run_cli(["compare", names["space"], names["nu"], names["mu"]])
+        run_cli(["oz", "check", names["phi"], "--trials", "2"])
+        run_cli(["oz", "eps", names["phi"], "--eps", eps])
+        run_cli(["oz", "compare", names["phi"], names["psi"]])
+        run_cli(["oz", "witness", names["phi"], names["psi"]])

@@ -182,6 +182,17 @@ def test_eps_cut_psd_matches_spectral_cut():
         oz_eps_cut(phi, float("nan"))
 
 
+def test_eps_beyond_the_float_range_cuts_everything():
+    # Every eigenvalue is at most 1 + 1e-10, so any eps above it gives the
+    # zero cut; 10^400 has no float and must not raise OverflowError.
+    phi = oz_new(findim(1), 3, [2], [np.array([[0.5, 0.25], [0.25, 0.5]])], "psd")
+    huge = oz_eps_cut(phi, F(10**400))
+    assert oz_to_json(huge) == oz_to_json(oz_eps_cut(phi, 2))
+    assert huge.point_rank(0) == 0
+    report = oz_eps_rank_inequality(phi, [np.eye(1)], F(10**400))
+    assert (report.lhs_rank, report.rhs_rank) == (0, 0)
+
+
 def test_multiplicity_profile():
     phi = diag_map(findim(1, 1, 1), 8, (F(1), F(1, 2)), (), (F(1),))
     nu = oz_multiplicity(phi)
@@ -348,6 +359,13 @@ def test_verify_witness_shapes_and_domains():
         oz_verify_witness(phi, diag_map(findim(1, 1), 3, (F(1),), (F(1),)), np.ones((3, 2)))
     exact = oz_verify_witness(phi, psi, np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
     assert exact.passed
+
+
+@pytest.mark.parametrize("entry", [float("inf"), float("nan")])
+def test_verify_witness_rejects_non_finite_entries(entry):
+    phi = oz_new(SCALARS, 2, [2], [np.eye(2) / 2], "psd")
+    with pytest.raises(NotFinite):
+        oz_verify_witness(phi, phi, np.array([[entry, 0.0], [0.0, 0.0]]))
 
 
 def test_tiny_exact_entries_count_in_comparison_and_witness():
@@ -591,6 +609,17 @@ def test_json_round_trip_psd():
     phi = oz_new(findim(1), 3, [2], [h], "psd")
     back = oz_from_json(json.loads(json.dumps(oz_to_json(phi))))
     assert np.allclose(back.block_dense(0), h)
+
+
+@pytest.mark.parametrize("mode", ["diag", "psd"])
+def test_json_round_trip_with_a_multiplicity_zero_block(mode):
+    blocks = [(), (F(1, 2),)] if mode == "diag" else [np.zeros((0, 0)), np.eye(1) / 2]
+    phi = oz_new(findim(1, 1), 2, [0, 1], blocks, mode)
+    doc = json.loads(json.dumps(oz_to_json(phi)))
+    assert doc["blocks"][0] == []
+    back = oz_from_json(doc)
+    assert oz_to_json(back) == oz_to_json(phi)
+    assert back.block_dense(0).shape == (0, 0)
 
 
 def test_json_rejects_off_diagonal_in_diag_mode():
