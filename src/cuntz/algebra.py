@@ -12,15 +12,18 @@ The text syntax is
     C | M(n) | F(n1,...,nk) | CX(p1,...,pk) | UHF(2:inf,...) | CAR | Z | Q
       | O2 | Oinf | K | A (+) B | A (x) B | stab(A) | Minf(A)
 
-with (x) binding tighter than (+) and both associating to the left.  CAR and
-Q are sugar for UHF(2:inf) and UHF(Q).  ``normalize`` rewrites a tree to a
-canonical form using only plain *-isomorphisms (matrix bookkeeping and
-absorption of matrix factors into stabilization), never theorems about the
-invariants themselves.
+with (x) binding tighter than (+).  A run of one operator is a single chain
+node holding its operands in order: ``A (x) B (x) C`` is ``Tensor(A, B, C)``,
+and a parenthesised chain inside it stays one operand.  At most
+``MAX_NESTING`` parentheses may be open at once.  CAR and Q are sugar for
+UHF(2:inf) and UHF(Q).  ``normalize`` rewrites a tree to a canonical form
+using only plain *-isomorphisms (matrix bookkeeping and absorption of matrix
+factors into stabilization), never theorems about the invariants themselves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
@@ -99,16 +102,36 @@ class Compacts(AlgebraExpr):
     pass
 
 
-@dataclass(frozen=True)
-class Tensor(AlgebraExpr):
-    left: AlgebraExpr
-    right: AlgebraExpr
+@dataclass(frozen=True, init=False)
+class _Chain(AlgebraExpr):
+    """Two or more operands joined by one associative operator.
+
+    A first operand that is a chain of the same operator is spliced in, so a
+    chain is the left spine of the binary tree the text parses to, and
+    ``Tensor(Tensor(a, b), c) == Tensor(a, b, c)``.
+    """
+
+    items: Tuple[AlgebraExpr, ...]
+
+    def __init__(self, *operands: AlgebraExpr):
+        if len(operands) < 2:
+            raise ValueError("a chain needs at least two operands")
+        if type(operands[0]) is type(self):
+            operands = operands[0].items + operands[1:]
+        object.__setattr__(self, "items", operands)
+
+    def split(self) -> Tuple[AlgebraExpr, AlgebraExpr]:
+        """The binary view: the chain of all but the last operand, and the last."""
+        *head, last = self.items
+        return (head[0] if len(head) == 1 else type(self)(*head)), last
 
 
-@dataclass(frozen=True)
-class DirectSum(AlgebraExpr):
-    left: AlgebraExpr
-    right: AlgebraExpr
+class Tensor(_Chain):
+    pass
+
+
+class DirectSum(_Chain):
+    pass
 
 
 @dataclass(frozen=True)
@@ -144,9 +167,14 @@ class ExprSyntaxError(ValueError):
 
 _OPERATORS = {"(+)": "OPLUS", "(x)": "OTIMES"}
 
+# Parsing, printing and normalizing recurse once per level of parentheses;
+# the bound keeps every input far from the interpreter's recursion limit.
+MAX_NESTING = 100
+
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     tokens = []
+    depth = 0
     i = 0
     while i < len(text):
         ch = text[i]
@@ -158,10 +186,14 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
             i += 3
             continue
         if ch == "(":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ExprSyntaxError(f"more than {MAX_NESTING} open parentheses", i)
             tokens.append(("LP", ch, i))
             i += 1
             continue
         if ch == ")":
+            depth -= 1
             tokens.append(("RP", ch, i))
             i += 1
             continue
@@ -220,18 +252,18 @@ class _Parser:
         return expr
 
     def sum(self) -> AlgebraExpr:
-        left = self.product()
+        items = [self.product()]
         while self.peek()[0] == "OPLUS":
             self.next()
-            left = DirectSum(left, self.product())
-        return left
+            items.append(self.product())
+        return items[0] if len(items) == 1 else DirectSum(*items)
 
     def product(self) -> AlgebraExpr:
-        left = self.atom()
+        items = [self.atom()]
         while self.peek()[0] == "OTIMES":
             self.next()
-            left = Tensor(left, self.atom())
-        return left
+            items.append(self.atom())
+        return items[0] if len(items) == 1 else Tensor(*items)
 
     def atom(self) -> AlgebraExpr:
         tok = self.next()
@@ -347,18 +379,12 @@ def to_text(expr: AlgebraExpr) -> str:
     return form[1](expr)
 
 
-def _binary_text(expr) -> str:
-    op = " (x) " if isinstance(expr, Tensor) else " (+) "
+def _chain_text(expr: _Chain) -> str:
     me = _FORMS[type(expr)][0]
-
-    def side(child: AlgebraExpr, right: bool) -> str:
-        text = to_text(child)
-        p = _FORMS[type(child)][0]
-        if p < me or (p == me and right):
-            return f"({text})"
-        return text
-
-    return side(expr.left, False) + op + side(expr.right, True)
+    op = " (x) " if isinstance(expr, Tensor) else " (+) "
+    return op.join(
+        f"({to_text(x)})" if _FORMS[type(x)][0] <= me else to_text(x) for x in expr.items
+    )
 
 
 # class -> (binding precedence, text form); an amplification prints as a
@@ -377,113 +403,66 @@ _FORMS = {
     Compacts: (3, lambda e: "K"),
     Stabilize: (3, lambda e: f"stab({to_text(e.inner)})"),
     MatInf: (3, lambda e: f"Minf({to_text(e.inner)})"),
-    MatAmp: (3, lambda e: _binary_text(Tensor(Mat(e.n), e.inner))),
-    Tensor: (2, _binary_text),
-    DirectSum: (1, _binary_text),
+    MatAmp: (3, lambda e: _chain_text(Tensor(Mat(e.n), e.inner))),
+    Tensor: (2, _chain_text),
+    DirectSum: (1, _chain_text),
 }
 
 
 def normalize(expr: AlgebraExpr) -> AlgebraExpr:
-    """Canonical form under plain *-isomorphisms.
+    """Canonical form under plain *-isomorphisms, in one bottom-up pass.
 
-    Matrix sizes multiply out, tensor factors that are matrices become
-    amplifications, amplifications and algebraic limits are absorbed by
-    stabilization, and the compacts become stab(C).
+    Matrix sizes multiply out, scalar tensor factors drop, and the matrix
+    factors of a tensor product become one amplification; a stabilization
+    absorbs amplifications and algebraic limits, an algebraic limit absorbs
+    amplifications, and the compacts become stab(C).  Amplifications,
+    stabilizations and limits are read as one-factor tensor products.
     """
-    for _ in range(200):
-        new = _norm_step(expr)
-        if new == expr:
-            return expr
-        expr = new
-    raise RuntimeError("normalization did not stabilize")
-
-
-def _norm_step(expr: AlgebraExpr) -> AlgebraExpr:
-    if isinstance(expr, Tensor):
-        expr = Tensor(_norm_step(expr.left), _norm_step(expr.right))
-    elif isinstance(expr, DirectSum):
-        expr = DirectSum(_norm_step(expr.left), _norm_step(expr.right))
-    elif isinstance(expr, Stabilize):
-        expr = Stabilize(_norm_step(expr.inner))
-    elif isinstance(expr, MatInf):
-        expr = MatInf(_norm_step(expr.inner))
-    elif isinstance(expr, MatAmp):
-        expr = MatAmp(expr.n, _norm_step(expr.inner))
-
     if isinstance(expr, Compacts):
         return Stabilize(COMPLEX)
     if isinstance(expr, FinDim) and len(expr.sizes) == 1:
-        return Mat(expr.sizes[0])
-    if isinstance(expr, Mat) and expr.n == 1:
-        return COMPLEX
-    if isinstance(expr, MatAmp):
-        n, inner = expr.n, expr.inner
-        if n == 1:
-            return inner
-        if isinstance(inner, Complex):
-            return Mat(n)
-        if isinstance(inner, Mat):
-            return Mat(n * inner.n)
-        if isinstance(inner, MatAmp):
-            return MatAmp(n * inner.n, inner.inner)
-        if isinstance(inner, (Stabilize, MatInf)):
-            return inner
+        expr = Mat(expr.sizes[0])
+    if isinstance(expr, Mat):
+        return COMPLEX if expr.n == 1 else expr
+    if isinstance(expr, DirectSum):
+        return DirectSum(*map(normalize, expr.items))
+    size, wrap = 1, None
     if isinstance(expr, Tensor):
-        left, right = expr.left, expr.right
-        if isinstance(left, Complex):
-            return right
-        if isinstance(right, Complex):
-            return left
-        if isinstance(left, Mat):
-            return MatAmp(left.n, right)
-        if isinstance(right, Mat):
-            return MatAmp(right.n, left)
-        if isinstance(left, MatAmp):
-            return MatAmp(left.n, Tensor(left.inner, right))
-        if isinstance(right, MatAmp):
-            return MatAmp(right.n, Tensor(left, right.inner))
-        if isinstance(left, Stabilize):
-            return Stabilize(Tensor(left.inner, right))
-        if isinstance(right, Stabilize):
-            return Stabilize(Tensor(left, right.inner))
-        if isinstance(left, MatInf):
-            return MatInf(Tensor(left.inner, right))
-        if isinstance(right, MatInf):
-            return MatInf(Tensor(left, right.inner))
-    if isinstance(expr, Stabilize):
-        inner = expr.inner
-        if isinstance(inner, Mat):
-            return Stabilize(COMPLEX)
-        if isinstance(inner, (Stabilize, MatInf)):
-            return Stabilize(_strip_limits(inner))
-        if isinstance(inner, MatAmp):
-            return Stabilize(inner.inner)
-    if isinstance(expr, MatInf):
-        inner = expr.inner
-        if isinstance(inner, Mat):
-            return MatInf(COMPLEX)
-        if isinstance(inner, MatInf):
-            return inner
-        if isinstance(inner, MatAmp):
-            return MatInf(inner.inner)
-        if isinstance(inner, Stabilize):
-            return inner
-    return expr
-
-
-def _strip_limits(expr: AlgebraExpr) -> AlgebraExpr:
-    while isinstance(expr, (Stabilize, MatInf)):
-        expr = expr.inner
-    return expr
+        factors = expr.items
+    elif isinstance(expr, MatAmp):
+        size, factors = expr.n, (expr.inner,)
+    elif isinstance(expr, (Stabilize, MatInf)):
+        wrap, factors = type(expr), (expr.inner,)
+    else:
+        return expr
+    cores = []
+    for factor in map(normalize, factors):
+        if isinstance(factor, Mat):
+            size *= factor.n
+            continue
+        if isinstance(factor, MatAmp):
+            size, factor = size * factor.n, factor.inner
+        elif isinstance(factor, Stabilize):
+            wrap, factor = Stabilize, factor.inner
+        elif isinstance(factor, MatInf):
+            wrap, factor = wrap or MatInf, factor.inner
+        if not isinstance(factor, Complex):
+            cores.append(factor)
+    core = Tensor(*cores) if len(cores) > 1 else cores[0] if cores else COMPLEX
+    if wrap is not None:
+        return wrap(core)
+    if size == 1:
+        return core
+    return Mat(size) if isinstance(core, Complex) else MatAmp(size, core)
 
 
 # ---------------------------------------------------------------------------
 # Structural predicates used by the rewrite engine.
 
 def leaves(expr: AlgebraExpr) -> Iterator[AlgebraExpr]:
-    if isinstance(expr, (Tensor, DirectSum)):
-        yield from leaves(expr.left)
-        yield from leaves(expr.right)
+    if isinstance(expr, _Chain):
+        for item in expr.items:
+            yield from leaves(item)
     elif isinstance(expr, (Stabilize, MatInf, MatAmp)):
         yield from leaves(expr.inner)
     else:
@@ -493,8 +472,8 @@ def leaves(expr: AlgebraExpr) -> Iterator[AlgebraExpr]:
 def is_unital(expr: AlgebraExpr) -> bool:
     if isinstance(expr, (Compacts, Stabilize, MatInf)):
         return False
-    if isinstance(expr, (Tensor, DirectSum)):
-        return is_unital(expr.left) and is_unital(expr.right)
+    if isinstance(expr, _Chain):
+        return all(map(is_unital, expr.items))
     if isinstance(expr, MatAmp):
         return is_unital(expr.inner)
     return True
@@ -521,9 +500,9 @@ def simple_summand_count(expr: AlgebraExpr) -> int:
     if isinstance(expr, CX):
         return len(expr.points)
     if isinstance(expr, DirectSum):
-        return simple_summand_count(expr.left) + simple_summand_count(expr.right)
+        return sum(map(simple_summand_count, expr.items))
     if isinstance(expr, Tensor):
-        return simple_summand_count(expr.left) * simple_summand_count(expr.right)
+        return math.prod(map(simple_summand_count, expr.items))
     if isinstance(expr, (Stabilize, MatInf, MatAmp)):
         return simple_summand_count(expr.inner)
     raise TypeError(f"not an algebra expression: {expr!r}")
@@ -536,8 +515,8 @@ def _leaf_finite_dimensional(leaf: AlgebraExpr) -> bool:
 def finite_type_strict(expr: AlgebraExpr) -> bool:
     """Finite dimensional as an algebra: finite-dimensional leaves combined
     without stabilization or algebraic limits."""
-    if isinstance(expr, (Tensor, DirectSum)):
-        return finite_type_strict(expr.left) and finite_type_strict(expr.right)
+    if isinstance(expr, _Chain):
+        return all(map(finite_type_strict, expr.items))
     if isinstance(expr, MatAmp):
         return finite_type_strict(expr.inner)
     if isinstance(expr, (Stabilize, MatInf, Compacts)):
@@ -548,8 +527,8 @@ def finite_type_strict(expr: AlgebraExpr) -> bool:
 def finite_type_compact(expr: AlgebraExpr) -> bool:
     """Built from finite-dimensional leaves and the compacts; every
     representation of such an algebra acts by compact operators blockwise."""
-    if isinstance(expr, (Tensor, DirectSum)):
-        return finite_type_compact(expr.left) and finite_type_compact(expr.right)
+    if isinstance(expr, _Chain):
+        return all(map(finite_type_compact, expr.items))
     if isinstance(expr, (MatAmp, Stabilize, MatInf)):
         return finite_type_compact(expr.inner)
     return _leaf_finite_dimensional(expr) or isinstance(expr, Compacts)
@@ -571,9 +550,9 @@ def kills_findim_targets(expr: AlgebraExpr) -> bool:
     if isinstance(expr, (MatAmp, MatInf)):
         return kills_findim_targets(expr.inner)
     if isinstance(expr, Tensor):
-        return kills_findim_targets(expr.left) or kills_findim_targets(expr.right)
+        return any(map(kills_findim_targets, expr.items))
     if isinstance(expr, DirectSum):
-        return kills_findim_targets(expr.left) and kills_findim_targets(expr.right)
+        return all(map(kills_findim_targets, expr.items))
     return False
 
 
@@ -591,12 +570,9 @@ def kills_compact_targets(expr: AlgebraExpr) -> bool:
     if isinstance(expr, (MatAmp, Stabilize, MatInf)):
         return kills_compact_targets(expr.inner)
     if isinstance(expr, Tensor):
-        one_kills = kills_compact_targets(expr.left) or kills_compact_targets(
-            expr.right
-        )
-        return one_kills and is_unital(expr.left) and is_unital(expr.right)
+        return any(map(kills_compact_targets, expr.items)) and is_unital(expr)
     if isinstance(expr, DirectSum):
-        return kills_compact_targets(expr.left) and kills_compact_targets(expr.right)
+        return all(map(kills_compact_targets, expr.items))
     return False
 
 
@@ -620,7 +596,7 @@ def absorbs(target: AlgebraExpr, d: AlgebraExpr) -> bool:
     if isinstance(target, (Stabilize, MatInf, MatAmp)):
         return absorbs(target.inner, d)
     if isinstance(target, Tensor):
-        return absorbs(target.left, d) or absorbs(target.right, d)
+        return any(absorbs(item, d) for item in target.items)
     if isinstance(d, UHF) and isinstance(target, UHF):
         return sn_mul(target.number, d.number) == target.number
     return target == d

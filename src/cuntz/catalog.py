@@ -14,9 +14,9 @@ Every step is recorded with the name of the theorem that justifies it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product as _cartesian
-from typing import Callable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .algebra import (
     COMPLEX,
@@ -280,24 +280,8 @@ class TraceStep:
 RewriteTrace = List[TraceStep]
 
 
-@dataclass(frozen=True)
-class _Outcome:
-    kind: str  # "value" | "query" | "split"
-    value: Optional[SemigroupValue] = None
-    query: Optional[Query] = None
-    parts: Tuple[Query, ...] = ()
-
-
-def _val(v: SemigroupValue) -> _Outcome:
-    return _Outcome("value", value=v)
-
-
-def _next(q: Query) -> _Outcome:
-    return _Outcome("query", query=q)
-
-
-def _split(parts: Sequence[Query]) -> _Outcome:
-    return _Outcome("split", parts=tuple(parts))
+# A rule's outcome: the value, the next query, or the parts of a split.
+Outcome = Union[SemigroupValue, Query, Tuple[Query, ...]]
 
 
 # ---------------------------------------------------------------------------
@@ -307,184 +291,156 @@ def _is_dyadic_uhf(e: AlgebraExpr) -> bool:
     return isinstance(e, UHF) and e.number == DYADIC_SUPERNATURAL
 
 
-def _r_zero(q: Query) -> Optional[_Outcome]:
+def _r_zero(q: Query) -> Optional[Outcome]:
     if q.variant == "W":
         if finite_type_strict(q.b) and kills_findim_targets(q.a):
-            return _val(ZeroSG())
+            return ZeroSG()
         if finite_type_compact(q.b) and kills_compact_targets(q.a):
-            return _val(ZeroSG())
+            return ZeroSG()
     if q.variant == "WW":
         if finite_type_compact(q.b) and kills_compact_targets(q.a):
-            return _val(ZeroSG())
+            return ZeroSG()
     return None
 
 
-def _r_car(q: Query) -> Optional[_Outcome]:
+def _r_car(q: Query) -> Optional[Outcome]:
     if q.variant == "W" and _is_dyadic_uhf(q.a) and _is_dyadic_uhf(q.b):
-        return _val(CarSG())
+        return CarSG()
     return None
 
 
-def _r_kirchberg(q: Query) -> Optional[_Outcome]:
+def _r_kirchberg(q: Query) -> Optional[Outcome]:
     if q.variant == "WW" and isinstance(q.b, KirchbergSimple) and is_exact(q.a):
         k = simple_summand_count(q.a)
-        return _val(TwoPointSG() if k == 1 else IdealLatticeSG(k))
+        return TwoPointSG() if k == 1 else IdealLatticeSG(k)
     return None
 
 
-def _r_homology(q: Query) -> Optional[_Outcome]:
+def _r_homology(q: Query) -> Optional[Outcome]:
     if isinstance(q.a, CX) and isinstance(q.b, Complex):
         space = Space.discrete(q.a.points)
         if q.variant == "WW":
-            return _val(MfSG(space))
+            return MfSG(space)
         if q.variant == "W":
-            return _val(MfiSG(space))
+            return MfiSG(space)
     return None
 
 
-def _r_base_mono(q: Query) -> Optional[_Outcome]:
+def _r_base_mono(q: Query) -> Optional[Outcome]:
     if q.variant == "Wof":
         if isinstance(q.a, Complex):
-            return _val(NatSG())
+            return NatSG()
         if _is_dyadic_uhf(q.a):
-            return _val(CarSG())
+            return CarSG()
         if isinstance(q.a, CX):
-            return _val(MfiSG(Space.discrete(q.a.points)))
+            return MfiSG(Space.discrete(q.a.points))
     if q.variant == "Cuof":
         if isinstance(q.a, Complex):
-            return _val(ExtNatSG())
+            return ExtNatSG()
         if isinstance(q.a, CX):
-            return _val(MfSG(Space.discrete(q.a.points)))
+            return MfSG(Space.discrete(q.a.points))
     return None
 
 
-def _r_recover(q: Query) -> Optional[_Outcome]:
+def _r_recover(q: Query) -> Optional[Outcome]:
     if q.variant == "W" and isinstance(q.a, Complex):
-        return _next(Query("Wof", q.b))
+        return Query("Wof", q.b)
     return None
 
 
-def _r_bridge(q: Query) -> Optional[_Outcome]:
+def _r_bridge(q: Query) -> Optional[Outcome]:
     if q.variant == "WW":
-        return _next(Query("W", q.a, Stabilize(q.b)))
+        return Query("W", q.a, Stabilize(q.b))
     return None
 
 
-def _r_target_strip(q: Query) -> Optional[_Outcome]:
+def _r_target_strip(q: Query) -> Optional[Outcome]:
     if q.variant == "W":
         if isinstance(q.b, Mat):
-            return _next(Query("W", q.a, COMPLEX))
+            return Query("W", q.a, COMPLEX)
         if isinstance(q.b, (MatAmp, MatInf)):
-            return _next(Query("W", q.a, q.b.inner))
+            return Query("W", q.a, q.b.inner)
     if q.variant in ("Wof", "Cuof"):
         if isinstance(q.a, Mat):
-            return _next(Query(q.variant, COMPLEX))
+            return Query(q.variant, COMPLEX)
         if isinstance(q.a, (MatAmp, MatInf)):
-            return _next(Query(q.variant, q.a.inner))
+            return Query(q.variant, q.a.inner)
     return None
 
 
-def _r_stability(q: Query) -> Optional[_Outcome]:
+def _r_stability(q: Query) -> Optional[Outcome]:
     if q.variant == "W":
         if isinstance(q.a, MatInf):
-            return _next(Query("W", q.a.inner, q.b))
+            return Query("W", q.a.inner, q.b)
         if isinstance(q.a, Stabilize) and isinstance(q.b, Stabilize):
-            return _next(Query("W", q.a.inner, q.b))
+            return Query("W", q.a.inner, q.b)
     if q.variant == "Wof" and isinstance(q.a, Stabilize):
-        return _next(Query("Cuof", q.a.inner))
+        return Query("Cuof", q.a.inner)
     if q.variant == "Cuof" and isinstance(q.a, Stabilize):
-        return _next(Query("Cuof", q.a.inner))
+        return Query("Cuof", q.a.inner)
     return None
 
 
-def _r_domain_strip(q: Query) -> Optional[_Outcome]:
+def _r_domain_strip(q: Query) -> Optional[Outcome]:
     if q.variant == "W":
         if isinstance(q.a, Mat):
-            return _next(Query("W", COMPLEX, q.b))
+            return Query("W", COMPLEX, q.b)
         if isinstance(q.a, MatAmp):
-            return _next(Query("W", q.a.inner, q.b))
+            return Query("W", q.a.inner, q.b)
     return None
 
 
-def _summand_exprs(e: AlgebraExpr) -> Optional[List[AlgebraExpr]]:
+def _summand_exprs(e: AlgebraExpr) -> Optional[Tuple[AlgebraExpr, ...]]:
     if isinstance(e, DirectSum):
-        return [e.left, e.right]
+        return e.split()
     if isinstance(e, FinDim) and len(e.sizes) >= 2:
-        return [Mat(n) for n in e.sizes]
+        return tuple(Mat(n) for n in e.sizes)
     if isinstance(e, CX):
-        return [COMPLEX for _ in e.points]
+        return (COMPLEX,) * len(e.points)
     return None
 
 
-def _r_additivity(q: Query) -> Optional[_Outcome]:
-    if q.variant == "W":
-        parts = _summand_exprs(q.a)
-        if parts is not None:
-            if len(parts) == 1:
-                return _next(Query("W", parts[0], q.b))
-            return _split([Query("W", p, q.b) for p in parts])
-        parts = _summand_exprs(q.b)
-        if parts is not None:
-            if len(parts) == 1:
-                return _next(Query("W", q.a, parts[0]))
-            return _split([Query("W", q.a, p) for p in parts])
-    if q.variant in ("Wof", "Cuof"):
-        parts = _summand_exprs(q.a)
-        if parts is not None:
-            if len(parts) == 1:
-                return _next(Query(q.variant, parts[0]))
-            return _split([Query(q.variant, p) for p in parts])
-    return None
+def _r_additivity(q: Query) -> Optional[Outcome]:
+    if q.variant == "WW":
+        return None
+    parts = _summand_exprs(q.a)
+    if parts is not None:
+        queries = tuple(Query(q.variant, p, q.b) for p in parts)
+    elif q.variant == "W" and (parts := _summand_exprs(q.b)) is not None:
+        queries = tuple(Query("W", q.a, p) for p in parts)
+    else:
+        return None
+    return queries[0] if len(queries) == 1 else queries
 
 
-def _ssa_factors(e: AlgebraExpr) -> List[AlgebraExpr]:
-    out: List[AlgebraExpr] = []
-
-    def walk(x: AlgebraExpr):
-        if isinstance(x, Tensor):
-            walk(x.left)
-            walk(x.right)
-        elif isinstance(x, (Stabilize, MatInf, MatAmp)):
-            walk(x.inner)
-        elif is_strongly_self_absorbing(x):
-            out.append(x)
-
-    walk(e)
-    return out
-
-
-def _contains_factor(e: AlgebraExpr, d: AlgebraExpr) -> bool:
-    return d in _ssa_factors(e) if is_strongly_self_absorbing(d) else False
-
-
-def _remove_factor(e: AlgebraExpr, d: AlgebraExpr) -> AlgebraExpr:
-    if e == d:
-        return COMPLEX
+def _absorb_first(e: AlgebraExpr, b: AlgebraExpr) -> Optional[AlgebraExpr]:
+    """e with its first strongly self-absorbing tensor factor that b absorbs
+    replaced by C, looking through amplifications, limits and
+    stabilization; None when there is no such factor."""
     if isinstance(e, Tensor):
-        if _contains_factor(e.left, d):
-            return Tensor(_remove_factor(e.left, d), e.right)
-        return Tensor(e.left, _remove_factor(e.right, d))
-    if isinstance(e, MatAmp):
-        return MatAmp(e.n, _remove_factor(e.inner, d))
-    if isinstance(e, Stabilize):
-        return Stabilize(_remove_factor(e.inner, d))
-    if isinstance(e, MatInf):
-        return MatInf(_remove_factor(e.inner, d))
-    raise ValueError("factor not present")
+        for i, item in enumerate(e.items):
+            rest = _absorb_first(item, b)
+            if rest is not None:
+                return Tensor(*e.items[:i], rest, *e.items[i + 1 :])
+        return None
+    if isinstance(e, (Stabilize, MatInf, MatAmp)):
+        rest = _absorb_first(e.inner, b)
+        return None if rest is None else replace(e, inner=rest)
+    if is_strongly_self_absorbing(e) and absorbs(b, e):
+        return COMPLEX
+    return None
 
 
-def _r_absorption(q: Query) -> Optional[_Outcome]:
+def _r_absorption(q: Query) -> Optional[Outcome]:
     if q.variant != "W" or is_strongly_self_absorbing(q.a):
         return None
-    for d in _ssa_factors(q.a):
-        if absorbs(q.b, d):
-            return _next(Query("W", _remove_factor(q.a, d), q.b))
-    return None
+    rest = _absorb_first(q.a, q.b)
+    return None if rest is None else Query("W", rest, q.b)
 
 
-def _r_bare_absorption(q: Query) -> Optional[_Outcome]:
+def _r_bare_absorption(q: Query) -> Optional[Outcome]:
     if q.variant == "W" and is_strongly_self_absorbing(q.a) and absorbs(q.b, q.a):
-        return _next(Query("W", COMPLEX, q.b))
+        return Query("W", COMPLEX, q.b)
     return None
 
 
@@ -493,7 +449,7 @@ class _Rule:
     name: str
     anchor: str
     klass: int
-    fn: Callable[[Query], Optional[_Outcome]]
+    fn: Callable[[Query], Optional[Outcome]]
 
 
 RULES: Tuple[_Rule, ...] = (
@@ -529,9 +485,9 @@ def _normalize_query(q: Query) -> Query:
     return Query(q.variant, a, b)
 
 
-def _matches(q: Query) -> List[Tuple[_Rule, _Outcome]]:
+def _matches(q: Query) -> List[Tuple[_Rule, Outcome]]:
     """Matching rules of the lowest matching class, in priority order."""
-    found: List[Tuple[_Rule, _Outcome]] = []
+    found: List[Tuple[_Rule, Outcome]] = []
     best = None
     for rule in RULES:
         outcome = rule.fn(q)
@@ -550,54 +506,56 @@ def _terminal_value(q: Query) -> SemigroupValue:
     return terminal(q.a) if terminal else UnknownSG(query_text(q))
 
 
-def _evaluate(q: Query, record_normalize: bool) -> Tuple[SemigroupValue, RewriteTrace]:
+def _evaluate(q: Query) -> Tuple[SemigroupValue, RewriteTrace]:
+    """Rewrite the query; the parts of a split wait on a stack and are
+    rewritten depth first, each with its own step budget, and the value of a
+    query that splits is the direct sum of every terminal value."""
     trace: RewriteTrace = []
     nq = _normalize_query(q)
     text = query_text(nq)
-    if record_normalize and text != query_text(q):
+    if text != query_text(q):
         trace.append(TraceStep("N", "canonical presentation", query_text(q), text))
-    q = nq
-    # A chain of n absorbed factors takes n steps, so the budget grows with
-    # the query: every node of it prints as at least one character.
-    for _ in range(64 + len(text)):
-        matched = _matches(q)
-        if not matched:
-            return _terminal_value(q), trace
-        rule, outcome = matched[0]
-        before = query_text(q)
-        if outcome.kind == "value":
-            trace.append(TraceStep(rule.name, rule.anchor, before, value_text(outcome.value)))
-            return outcome.value, trace
-        if outcome.kind == "query":
-            q = _normalize_query(outcome.query)
-            trace.append(TraceStep(rule.name, rule.anchor, before, query_text(q)))
-            continue
-        parts = [_normalize_query(p) for p in outcome.parts]
-        trace.append(
-            TraceStep(
-                rule.name,
-                rule.anchor,
-                before,
-                " (+) ".join(query_text(p) for p in parts),
-            )
-        )
-        values = []
-        for p in parts:
-            v, t = _evaluate(p, False)
-            trace.extend(t)
-            values.append(v)
-        return direct_sum_value(values), trace
-    raise RuntimeError(f"rewriting did not terminate on {query_text(q)}")
+    stack = [(nq, text)]
+    values: List[SemigroupValue] = []
+    while stack:
+        q, before = stack.pop()
+        # A chain of n absorbed factors takes n steps, so the budget grows
+        # with the query: every node of it prints as at least one character.
+        for _ in range(64 + len(before)):
+            matched = _matches(q)
+            if not matched:
+                values.append(_terminal_value(q))
+                break
+            rule, outcome = matched[0]
+            if isinstance(outcome, SemigroupValue):
+                trace.append(TraceStep(rule.name, rule.anchor, before, value_text(outcome)))
+                values.append(outcome)
+                break
+            if isinstance(outcome, Query):
+                q = _normalize_query(outcome)
+                after = query_text(q)
+                trace.append(TraceStep(rule.name, rule.anchor, before, after))
+                before = after
+                continue
+            parts = [(p, query_text(p)) for p in map(_normalize_query, outcome)]
+            after = " (+) ".join(t for _, t in parts)
+            trace.append(TraceStep(rule.name, rule.anchor, before, after))
+            stack.extend(reversed(parts))
+            break
+        else:
+            raise RuntimeError(f"rewriting did not terminate on {before}")
+    # A split has at least two parts, so one value means no split happened.
+    return (values[0] if len(values) == 1 else direct_sum_value(values)), trace
 
 
 def eval_W(a: AlgebraExpr, b: AlgebraExpr) -> Tuple[SemigroupValue, RewriteTrace]:
     """Evaluate W(a,b) to a canonical value with a rule-by-rule trace."""
-    return _evaluate(Query("W", a, b), True)
+    return _evaluate(Query("W", a, b))
 
 
 def eval_WW(a: AlgebraExpr, b: AlgebraExpr) -> Tuple[SemigroupValue, RewriteTrace]:
     """Evaluate WW(a,b) = W(a (x) K, b (x) K) to a canonical value."""
-    return _evaluate(Query("WW", a, b), True)
+    return _evaluate(Query("WW", a, b))
 
 
 def explore_values(q: Query, depth: int = 8) -> Set[SemigroupValue]:
@@ -615,12 +573,12 @@ def explore_values(q: Query, depth: int = 8) -> Set[SemigroupValue]:
         return {_terminal_value(q)}
     out: Set[SemigroupValue] = set()
     for rule, outcome in matched:
-        if outcome.kind == "value":
-            out.add(outcome.value)
-        elif outcome.kind == "query":
-            out |= explore_values(outcome.query, depth - 1)
+        if isinstance(outcome, SemigroupValue):
+            out.add(outcome)
+        elif isinstance(outcome, Query):
+            out |= explore_values(outcome, depth - 1)
         else:
-            part_sets = [explore_values(p, depth - 1) for p in outcome.parts]
+            part_sets = [explore_values(p, depth - 1) for p in outcome]
             for combo in _cartesian(*part_sets):
                 out.add(direct_sum_value(list(combo)))
     return out

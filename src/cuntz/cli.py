@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -130,8 +131,8 @@ def _parse_expr(text: str):
 
 def _positive_tol(value: str) -> float:
     tol = float(value)
-    if tol <= 0:
-        raise argparse.ArgumentTypeError("tolerance must be > 0")
+    if not 0 < tol < math.inf:
+        raise argparse.ArgumentTypeError("tolerance must be > 0 and finite")
     return tol
 
 

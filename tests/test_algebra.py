@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cuntz.algebra import (
     COMPLEX,
     CX,
     Compacts,
+    Complex,
     DirectSum,
     ExprSyntaxError,
     FinDim,
@@ -168,6 +169,119 @@ def test_normal_forms(before, after):
 def test_normalize_keeps_cx_labels():
     e = normalize(parse_algebra("CX(a,b,c)"))
     assert e == CX(("a", "b", "c"))
+
+
+# ---------------------------------------------------------------------------
+# normalize against the fixpoint of single rewrite steps it replaced.
+
+def reference_normalize(expr):
+    """Apply one bottom-up round of rewrite steps until nothing changes,
+    reading every chain as its binary split."""
+    for _ in range(200):
+        new = _reference_step(expr)
+        if new == expr:
+            return expr
+        expr = new
+    raise AssertionError("reference normalization did not stabilize")
+
+
+def _reference_step(expr):
+    if isinstance(expr, (Tensor, DirectSum)):
+        left, right = expr.split()
+        expr = type(expr)(_reference_step(left), _reference_step(right))
+    elif isinstance(expr, (Stabilize, MatInf)):
+        expr = type(expr)(_reference_step(expr.inner))
+    elif isinstance(expr, MatAmp):
+        expr = MatAmp(expr.n, _reference_step(expr.inner))
+
+    if isinstance(expr, Compacts):
+        return Stabilize(COMPLEX)
+    if isinstance(expr, FinDim) and len(expr.sizes) == 1:
+        return Mat(expr.sizes[0])
+    if isinstance(expr, Mat) and expr.n == 1:
+        return COMPLEX
+    if isinstance(expr, MatAmp):
+        n, inner = expr.n, expr.inner
+        if n == 1:
+            return inner
+        if isinstance(inner, Complex):
+            return Mat(n)
+        if isinstance(inner, Mat):
+            return Mat(n * inner.n)
+        if isinstance(inner, MatAmp):
+            return MatAmp(n * inner.n, inner.inner)
+        if isinstance(inner, (Stabilize, MatInf)):
+            return inner
+    if isinstance(expr, Tensor):
+        left, right = expr.split()
+        if isinstance(left, Complex):
+            return right
+        if isinstance(right, Complex):
+            return left
+        if isinstance(left, Mat):
+            return MatAmp(left.n, right)
+        if isinstance(right, Mat):
+            return MatAmp(right.n, left)
+        if isinstance(left, MatAmp):
+            return MatAmp(left.n, Tensor(left.inner, right))
+        if isinstance(right, MatAmp):
+            return MatAmp(right.n, Tensor(left, right.inner))
+        for wrap in (Stabilize, MatInf):
+            if isinstance(left, wrap):
+                return wrap(Tensor(left.inner, right))
+            if isinstance(right, wrap):
+                return wrap(Tensor(left, right.inner))
+    if isinstance(expr, Stabilize):
+        inner = expr.inner
+        if isinstance(inner, Mat):
+            return Stabilize(COMPLEX)
+        if isinstance(inner, (Stabilize, MatInf)):
+            while isinstance(inner, (Stabilize, MatInf)):
+                inner = inner.inner
+            return Stabilize(inner)
+        if isinstance(inner, MatAmp):
+            return Stabilize(inner.inner)
+    if isinstance(expr, MatInf):
+        inner = expr.inner
+        if isinstance(inner, Mat):
+            return MatInf(COMPLEX)
+        if isinstance(inner, (MatInf, Stabilize)):
+            return inner
+        if isinstance(inner, MatAmp):
+            return MatInf(inner.inner)
+    return expr
+
+
+@st.composite
+def chains(draw, depth=4):
+    """Expressions whose tensor products and direct sums have 2-4 operands."""
+    kind = draw(st.integers(0, 5)) if depth else 0
+    sub = chains(depth=depth - 1)
+    if kind == 0:
+        return draw(exprs(depth=0))
+    if kind < 3:
+        return (Tensor, DirectSum)[kind - 1](*draw(st.lists(sub, min_size=2, max_size=4)))
+    if kind == 5:
+        return MatAmp(draw(st.integers(1, 4)), draw(sub))
+    return (Stabilize, MatInf)[kind - 3](draw(sub))
+
+
+@settings(max_examples=300, deadline=None)
+@given(chains())
+def test_normalize_matches_the_rewrite_fixpoint(e):
+    assert normalize(e) == reference_normalize(e)
+
+
+def test_a_chain_splices_only_a_leading_chain_of_its_own_operator():
+    z, c = JiangSu(), COMPLEX
+    assert Tensor(Tensor(z, c), z) == Tensor(z, c, z)
+    assert Tensor(Tensor(z, c), z).items == (z, c, z)
+    assert Tensor(z, Tensor(c, z)).items == (z, Tensor(c, z))
+    assert Tensor(DirectSum(z, c), z).items == (DirectSum(z, c), z)
+    assert Tensor(z, c, z).split() == (Tensor(z, c), z)
+    assert Tensor(z, c).split() == (z, c)
+    with pytest.raises(ValueError):
+        Tensor(z)
 
 
 # ---------------------------------------------------------------------------

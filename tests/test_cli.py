@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuntz.algebra import parse_algebra
+from cuntz.catalog import direct_sum_value, eval_W, value_text
 from cuntz.cli import main
 
 SCHEMA = "cuntz/1"
@@ -205,6 +207,14 @@ def test_oz_check_on_one_point_is_vacuous(phi_file, tmp_path, capsys):
 def test_oz_check_rejects_bad_tol(phi_file, capsys):
     assert main(["oz", "check", phi_file, "--tol", "0"]) == 1
     assert "tolerance must be > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["check", "compare", "witness"])
+def test_oz_rejects_a_non_finite_tol(phi_file, psi_file, capsys, command, tol):
+    maps = [phi_file] if command == "check" else [phi_file, psi_file]
+    assert main(["oz", command, *maps, "--tol", tol]) == 1
+    assert "tolerance must be > 0 and finite" in capsys.readouterr().err
 
 
 def test_oz_eps_cut(phi_file, capsys):
@@ -414,6 +424,47 @@ def test_eval_of_a_long_absorbed_chain(capsys):
     assert len(out) == 1 + 71
 
 
+def test_nesting_past_the_parser_bound_is_an_input_error(capsys):
+    deep = "stab(" * 5000 + "Z" + ")" * 5000
+    for argv in (["eval", deep, "Z"], ["eval", "--ww", "Z", deep], ["classify", deep, "C"]):
+        assert main(argv) == 1
+        # the 101st parenthesis opens at 100 * len("stab(") + 4
+        assert capsys.readouterr().err.endswith("more than 100 open parentheses at position 504\n")
+
+
+@pytest.mark.parametrize(
+    "nested,target,codes",
+    [
+        ("stab(" * 100 + "Z" + ")" * 100, "Z", (2, 0, 3)),
+        ("(" * 100 + "Z" + ")" * 100, "Z", (0, 0, 3)),
+        ("Z (x) (" * 100 + "Z" + ")" * 100, "Z", (0, 0, 3)),
+        ("C (+) (" * 100 + "Z" + ")" * 100, "M(2)", (0, 0, 3)),
+    ],
+    ids=["stab", "parentheses", "right-nested-tensor", "right-nested-sum"],
+)
+def test_nesting_at_the_parser_bound_evaluates(nested, target, codes, capsys):
+    for argv, code in zip((["eval"], ["eval", "--ww"], ["classify"]), codes):
+        assert main(argv + [nested, target]) == code
+    assert capsys.readouterr().err == ""
+
+
+def test_a_long_sum_is_the_sum_of_its_summands(capsys):
+    summands = ["C", "M(2)", "Z", "CX(p,q)", "F(2,3)", "K", "stab(CAR)", "Minf(O2)"] * 125
+    target = parse_algebra("M(3)")
+    values = [eval_W(parse_algebra(s), target)[0] for s in summands]
+    assert main(["eval", " (+) ".join(summands), "M(3)"]) == 0
+    first = capsys.readouterr().out.split("\n", 1)[0]
+    assert first.endswith(" = " + value_text(direct_sum_value(values)))
+
+
+def test_eval_of_a_thousand_factor_absorbed_chain(capsys):
+    chain = " (x) ".join(["Z"] * 1000)
+    assert main(["eval", chain, "Z"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"W({chain}, Z) = W(Z)"
+    assert len(out) == 1 + 1000 + 1
+
+
 @pytest.mark.parametrize(
     "raw",
     [b"\xff\xfe{}", b"[" * 100000, b'{"schema": "cuntz/1", "domain": [1e400]}'],
@@ -438,24 +489,40 @@ SSA_TEXT = ["Z", "CAR", "Q", "O2", "Oinf", "UHF(3:inf)"]
 
 
 @st.composite
-def expressions(draw, depth):
-    # Parsing, printing and normalizing recurse on the nesting depth, so deep
-    # input can still raise RecursionError until they are made iterative; the
-    # depth stays at 20 until then.
+def trees(draw, depth):
+    # Binary trees: both operands of a chain may be compound.
     shape = draw(st.integers(0, 4)) if depth else 0
     if shape == 0:
         return draw(st.sampled_from(LEAVES))
-    a = draw(expressions(depth - 1))
+    a = draw(trees(depth - 1))
     if shape == 1:
         op = draw(st.sampled_from([" (x) ", " (+) "]))
-        return f"{a}{op}({draw(expressions(depth - 1))})"
+        return f"{a}{op}({draw(trees(depth - 1))})"
     return ["stab({})", "Minf({})", "M(2) (x) ({})"][shape - 2].format(a)
 
 
+@st.composite
+def expressions(draw, depth):
+    # Grown one layer at a time, so that the nesting can pass the parser's
+    # bound of 100 open parentheses without deep recursion in the strategy;
+    # each layer joins a shallow tree on either side.
+    text = draw(trees(3))
+    for _ in range(draw(st.integers(0, depth))):
+        shape = draw(st.integers(0, 4))
+        if shape < 2:
+            op = draw(st.sampled_from([" (x) ", " (+) "]))
+            other = draw(trees(3))
+            text = f"{text}{op}({other})" if shape == 0 else f"{other}{op}({text})"
+        else:
+            text = ["stab({})", "Minf({})", "M(2) (x) ({})"][shape - 2].format(text)
+    return text
+
+
 EXPRESSIONS = st.one_of(
-    expressions(20),
+    trees(20),
+    expressions(150),
     st.builds(lambda d, n: " (x) ".join([d] * n), st.sampled_from(SSA_TEXT), st.integers(1, 100)),
-    st.lists(expressions(2), min_size=1, max_size=100).map(" (x) ".join),
+    st.lists(trees(2), min_size=1, max_size=100).map(" (x) ".join),
     st.lists(
         st.sampled_from(["C", "M", "UHF", "stab", "Z", "(", ")", "(x)", "(+)", ",", ":", "2",
                          "inf", "0", "#", " "]),
@@ -512,7 +579,9 @@ def documents(draw, templates):
     doc = copy.deepcopy(draw(st.sampled_from(templates)))
     for _ in range(draw(st.integers(0, 2))):
         path = draw(st.sampled_from(list(_paths(doc))))
-        value = draw(st.sampled_from(WEIRD))
+        # A copy: a later mutation can write into an inserted list, and
+        # WEIRD itself must not change between examples.
+        value = copy.deepcopy(draw(st.sampled_from(WEIRD)))
         if not path:
             doc = value
             continue
