@@ -509,7 +509,8 @@ def _terminal_value(q: Query) -> SemigroupValue:
 def _evaluate(q: Query) -> Tuple[SemigroupValue, RewriteTrace]:
     """Rewrite the query; the parts of a split wait on a stack and are
     rewritten depth first, each with its own step budget, and the value of a
-    query that splits is the direct sum of every terminal value."""
+    query that splits is the direct sum of every terminal value.  A part that
+    exhausts its budget is Unknown, named by the query it stopped at."""
     trace: RewriteTrace = []
     nq = _normalize_query(q)
     text = query_text(nq)
@@ -542,8 +543,8 @@ def _evaluate(q: Query) -> Tuple[SemigroupValue, RewriteTrace]:
             trace.append(TraceStep(rule.name, rule.anchor, before, after))
             stack.extend(reversed(parts))
             break
-        else:
-            raise RuntimeError(f"rewriting did not terminate on {before}")
+        else:  # the budget ran out: the value of this part is unknown
+            values.append(UnknownSG(before))
     # A split has at least two parts, so one value means no split happened.
     return (values[0] if len(values) == 1 else direct_sum_value(values)), trace
 

@@ -5,6 +5,10 @@ functions over a shared space), classify (isomorphism verdicts), oz
 (order-zero laboratory: check, eps, compare, witness) and axioms (fragment
 checks on the extended naturals).
 
+Each handler imports the layer it uses, so a run loads only that layer:
+eval and classify load algebra and catalog, compare loads multiplicity,
+axioms loads waxioms, and only the oz subcommands load orderzero and numpy.
+
 Exit codes: 0 success, 1 input error, 2 Unknown evaluation, 3 Undecided
 classification, 4 negative comparison or failed check.  All file documents
 are UTF-8 JSON carrying "schema": "cuntz/1"; output is byte-identical for
@@ -22,55 +26,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional
 
-from .algebra import ExprSyntaxError, parse_algebra
-from .catalog import (
-    ClassificationVerdict,
-    NotDecidable,
-    classify,
-    eval_W,
-    eval_WW,
-    has_unknown,
-    scale_membership_note,
-    value_text,
-    value_to_json,
-)
 from .extnat import INF, ExtNat
-from .multiplicity import SpaceMismatch, mf_from_json, mf_leq, space_from_json
-from .orderzero import (
-    DimensionMismatch,
-    DomainMismatch,
-    NonCommutativeDomain,
-    NormExceedsOne,
-    NotDominated,
-    NotPositive,
-    PreconditionViolated,
-    ShapeMismatch,
-    comparison_certificate,
-    oz_check_order_zero,
-    oz_construct_witness,
-    oz_cuntz_leq_commutative,
-    oz_eps_cut,
-    oz_from_json,
-    oz_to_json,
-)
-from .waxioms import check_wm_axioms, check_wo_axioms, extnat_fragment, extnat_scaling
 
 SCHEMA = "cuntz/1"
-
-_MAP_ERRORS = (
-    DimensionMismatch,
-    NotPositive,
-    NormExceedsOne,
-    ShapeMismatch,
-    DomainMismatch,
-    NonCommutativeDomain,
-    NotDominated,
-    ValueError,
-    KeyError,
-    TypeError,
-    ArithmeticError,
-)
-
 
 # (x <= y, y <= x) -> verdict printed by both compare subcommands.
 _VERDICTS = {
@@ -115,18 +73,47 @@ def _load_doc(path: str) -> dict:
 
 
 def _load_map(path: str):
+    from .orderzero import (
+        DimensionMismatch,
+        DomainMismatch,
+        NonCommutativeDomain,
+        NormExceedsOne,
+        NotDominated,
+        NotPositive,
+        ShapeMismatch,
+        oz_from_json,
+    )
+
     payload = _load_doc(path)
     try:
         return oz_from_json(payload)
-    except _MAP_ERRORS as exc:
+    except (
+        DimensionMismatch,
+        NotPositive,
+        NormExceedsOne,
+        ShapeMismatch,
+        DomainMismatch,
+        NonCommutativeDomain,
+        NotDominated,
+        ValueError,
+        KeyError,
+        TypeError,
+        ArithmeticError,
+    ) as exc:
         raise CliInputError(f"{path}: invalid map document: {exc}") from None
 
 
 def _parse_expr(text: str):
+    from .algebra import ExprSyntaxError, parse_algebra
+
     try:
         return parse_algebra(text)
     except ExprSyntaxError as exc:
-        raise CliInputError(f"cannot parse {text!r}: {exc}") from None
+        quote = text
+        if len(text) > 60:  # quote 30 characters either side of the error
+            lo, hi = max(exc.pos - 30, 0), exc.pos + 30
+            quote = ("…" if lo else "") + text[lo:hi] + ("…" if hi < len(text) else "")
+        raise CliInputError(f"cannot parse {quote!r}: {exc}") from None
 
 
 def _positive_tol(value: str) -> float:
@@ -140,6 +127,8 @@ def _positive_tol(value: str) -> float:
 # Subcommand handlers.
 
 def cmd_eval(args) -> int:
+    from .catalog import eval_W, eval_WW, has_unknown, value_text, value_to_json
+
     a = _parse_expr(args.expr_a)
     b = _parse_expr(args.expr_b)
     value, trace = (eval_WW if args.ww else eval_W)(a, b)
@@ -160,6 +149,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .multiplicity import SpaceMismatch, mf_from_json, mf_leq, space_from_json
+
     space_doc = _load_doc(args.space)
     nu_doc = _load_doc(args.nu)
     mu_doc = _load_doc(args.mu)
@@ -182,9 +173,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .catalog import NotDecidable, classify, scale_membership_note
+
     a = _parse_expr(args.expr_a)
     b = _parse_expr(args.expr_b)
-    result: ClassificationVerdict = classify(a, b)
+    result = classify(a, b)
     doc = {"schema": SCHEMA, **result.to_json()}
     lines = [f"{result.verdict}: {result.certificate}"]
     try:
@@ -199,6 +192,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_oz_check(args) -> int:
+    from .orderzero import oz_check_order_zero
+
     phi = _load_map(args.phi)
     report = oz_check_order_zero(phi, trials=args.trials, seed=args.seed, tol=args.tol)
     doc = {
@@ -221,6 +216,8 @@ def cmd_oz_check(args) -> int:
 
 
 def cmd_oz_eps(args) -> int:
+    from .orderzero import NotPositive, oz_eps_cut, oz_to_json
+
     phi = _load_map(args.phi)
     try:
         eps = Fraction(args.eps)
@@ -236,6 +233,14 @@ def cmd_oz_eps(args) -> int:
 
 
 def cmd_oz_compare(args) -> int:
+    from .multiplicity import SpaceMismatch
+    from .orderzero import (
+        NonCommutativeDomain,
+        comparison_certificate,
+        oz_construct_witness,
+        oz_cuntz_leq_commutative,
+    )
+
     phi = _load_map(args.phi)
     psi = _load_map(args.psi)
     try:
@@ -267,6 +272,9 @@ def cmd_oz_compare(args) -> int:
 
 
 def cmd_oz_witness(args) -> int:
+    from .multiplicity import SpaceMismatch
+    from .orderzero import NonCommutativeDomain, PreconditionViolated, oz_construct_witness
+
     phi = _load_map(args.phi)
     psi = _load_map(args.psi)
     try:
@@ -297,6 +305,8 @@ def cmd_oz_witness(args) -> int:
 
 
 def _faulty_fragment(bound: int, fault: str):
+    from .waxioms import extnat_fragment
+
     base = extnat_fragment(bound)
     if fault == "overflow":
         cap = ExtNat(bound)
@@ -316,6 +326,8 @@ def _faulty_fragment(bound: int, fault: str):
 
 
 def cmd_axioms(args) -> int:
+    from .waxioms import check_wm_axioms, check_wo_axioms, extnat_fragment, extnat_scaling
+
     if args.carrier != "extnat":
         raise CliInputError(f"unknown carrier {args.carrier!r}")
     if not 0 <= args.bound <= 64:

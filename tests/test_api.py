@@ -1,6 +1,7 @@
 """The package surface: the text and JSON forms of every value, expression
 and query variant, and the layering of the submodules."""
 
+import json
 import os
 import subprocess
 import sys
@@ -192,3 +193,69 @@ def test_exact_layer_does_not_load_numpy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+# Each subcommand loads only its own layer: only the oz subcommands load
+# numpy (through cuntz.orderzero), and only eval and classify the catalog.
+# Each set below names modules that a subcommand must leave unloaded.
+NUMPY = {"numpy", "cuntz.orderzero"}
+NUMPY_OR_CATALOG = NUMPY | {"cuntz.catalog"}
+CATALOG_OR_WAXIOMS = {"cuntz.catalog", "cuntz.waxioms"}
+
+
+def _diag_map(target_dim, diags):
+    m = len(diags)
+    return {
+        "domain": [1],
+        "target_dim": target_dim,
+        "mult": [m],
+        "blocks": [[[d if r == c else "0" for c in range(m)] for r, d in enumerate(diags)]],
+        "mode": "diag",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv,absent",
+    [
+        pytest.param(argv, absent, id=" ".join(argv))
+        for argv, absent in [
+            (["eval", "M(2)", "Z"], NUMPY),
+            (["eval", "--ww", "CX(p,q)", "O2"], NUMPY),
+            (["classify", "M(2)", "M(3)"], NUMPY),
+            (["classify", "CX(a,b)", "CX(p,q)"], NUMPY),
+            (["compare", "{space}", "{nu}", "{mu}"], NUMPY_OR_CATALOG),
+            (["axioms", "extnat", "--bound", "4"], NUMPY_OR_CATALOG),
+            (["oz", "check", "{phi}"], CATALOG_OR_WAXIOMS),
+            (["oz", "compare", "{phi}", "{psi}"], CATALOG_OR_WAXIOMS),
+            (["oz", "witness", "{phi}", "{psi}"], CATALOG_OR_WAXIOMS),
+        ]
+    ],
+)
+def test_each_subcommand_loads_only_its_own_layer(tmp_path, argv, absent):
+    docs = {
+        "space": {"kind": "discrete", "points": ["p", "q"]},
+        "phi": _diag_map(3, ["1", "1/2"]),
+        "psi": _diag_map(4, ["1", "1/2", "1/4"]),
+    }
+    for name, atoms in [("nu", {"p": 1}), ("mu", {"p": 2, "q": 1})]:
+        docs[name] = {
+            "space": docs["space"],
+            "atoms": [{"at": p, "mult": m} for p, m in atoms.items()],
+            "essential": [],
+        }
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({"schema": "cuntz/1", **doc}), encoding="utf-8")
+    src = str(Path(cuntz.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import json, sys; from cuntz.cli import main; code = main(sys.argv[1:]); "
+        f"print(json.dumps([code, sorted(m for m in {sorted(absent)!r} if m in sys.modules)]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *(a.format(**paths) for a in argv)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(out.stdout.splitlines()[-1]) == [0, []]
+

@@ -1,5 +1,6 @@
 import pytest
 
+from cuntz import catalog
 from cuntz.algebra import COMPLEX, Mat, Tensor, parse_algebra, to_text
 from cuntz.catalog import (
     CarSG,
@@ -29,6 +30,7 @@ from cuntz.catalog import (
     value_text,
     value_to_json,
 )
+from cuntz.cli import main
 from cuntz.extnat import ExtNat, INF
 from cuntz.multiplicity import Space, SpaceMismatch, mf
 
@@ -120,6 +122,41 @@ def test_long_absorbed_chains_evaluate(d, n):
         value, trace = W(chain, target)
         assert value == expected
         assert len(trace) >= n
+
+
+def _looping_on_z(monkeypatch):
+    """Patch the matcher so that W(Z, Z) rewrites to itself, forever; other
+    queries match as before."""
+    real = catalog._matches
+    loop = catalog._Rule("loop", "rewrites a query to itself", 1, lambda q: q)
+    z = parse_algebra("Z")
+    monkeypatch.setattr(
+        catalog, "_matches", lambda q: [(loop, q)] if q == Query("W", z, z) else real(q)
+    )
+
+
+def test_an_exhausted_step_budget_is_unknown(monkeypatch):
+    _looping_on_z(monkeypatch)
+    value, trace = W("Z", "Z")
+    assert value == UnknownSG("W(Z, Z)")
+    # 64 steps plus one per character of the query text
+    assert len(trace) == 64 + len("W(Z, Z)")
+    assert {(s.rule, s.before, s.after) for s in trace} == {("loop", "W(Z, Z)", "W(Z, Z)")}
+
+
+def test_an_exhausted_part_of_a_sum_is_unknown_alone(monkeypatch):
+    _looping_on_z(monkeypatch)
+    value, _ = W("Z (+) C", "Z")
+    assert value == direct_sum_value([UnknownSG("W(Z, Z)"), WOfSG(parse_algebra("Z"))])
+    assert has_unknown(value)
+
+
+def test_an_exhausted_step_budget_exits_2_from_the_cli(monkeypatch, capsys):
+    _looping_on_z(monkeypatch)
+    assert main(["eval", "Z", "Z"]) == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == "W(Z, Z) = Unknown[W(Z, Z)]"
+    assert err == ""
 
 
 def test_homology_values():

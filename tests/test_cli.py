@@ -432,6 +432,34 @@ def test_nesting_past_the_parser_bound_is_an_input_error(capsys):
         assert capsys.readouterr().err.endswith("more than 100 open parentheses at position 504\n")
 
 
+def test_a_parse_error_quotes_a_window_of_a_long_expression(capsys):
+    deep = "stab(" * 5000 + "Z" + ")" * 5000
+    assert main(["eval", deep, "Z"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 300
+    assert err == (
+        f"error: cannot parse '…{deep[474:534]}…': "
+        "more than 100 open parentheses at position 504\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "text,quote",
+    [
+        # at most 60 characters: quoted whole
+        ("M(2) (+) " * 6 + "M(2", "M(2) (+) " * 6 + "M(2"),
+        # longer: 30 characters either side of the position, cut with …
+        ("M(2) (+) " * 10 + "M(2", "…M(2) (+) M(2) (+) M(2) (+) M(2"),
+        ("M(2" + " (+) M(2)" * 10, "M(2 (+) M(2) (+) M(2) (+) M(2) (+)…"),
+        ("C (+) " * 10 + "C)", "… (+) C (+) C (+) C (+) C (+) C)"),
+    ],
+    ids=["short", "error-at-end", "error-at-start", "just-past-60"],
+)
+def test_a_parse_error_quotes_by_expression_length(text, quote, capsys):
+    assert main(["classify", text, "C"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot parse '{quote}': ")
+
+
 @pytest.mark.parametrize(
     "nested,target,codes",
     [
