@@ -192,10 +192,13 @@ def cmd_classify(args) -> int:
 
 
 def cmd_oz_check(args) -> int:
-    from .orderzero import oz_check_order_zero
+    from .orderzero import DimensionMismatch, oz_check_order_zero
 
     phi = _load_map(args.phi)
-    report = oz_check_order_zero(phi, trials=args.trials, seed=args.seed, tol=args.tol)
+    try:
+        report = oz_check_order_zero(phi, trials=args.trials, seed=args.seed, tol=args.tol)
+    except DimensionMismatch as exc:
+        raise CliInputError(str(exc)) from None
     doc = {
         "schema": SCHEMA,
         "passed": report.passed,
@@ -235,6 +238,7 @@ def cmd_oz_eps(args) -> int:
 def cmd_oz_compare(args) -> int:
     from .multiplicity import SpaceMismatch
     from .orderzero import (
+        DimensionMismatch,
         NonCommutativeDomain,
         comparison_certificate,
         oz_construct_witness,
@@ -246,14 +250,14 @@ def cmd_oz_compare(args) -> int:
     try:
         below = oz_cuntz_leq_commutative(phi, psi)
         above = oz_cuntz_leq_commutative(psi, phi)
-    except (NonCommutativeDomain, SpaceMismatch) as exc:
+        report = oz_construct_witness(phi, psi, tol=args.tol) if below else None
+    except (DimensionMismatch, NonCommutativeDomain, SpaceMismatch) as exc:
         raise CliInputError(str(exc)) from None
     verdict = _VERDICTS[(below, above)]
     doc = {"schema": SCHEMA, "verdict": verdict}
     lines = [verdict]
     code = 0 if below else 4
     if below:
-        report = oz_construct_witness(phi, psi, tol=args.tol)
         doc["witness_residual"] = report.residual
         doc["tolerance"] = report.tolerance
         status = "residual" if report.passed else "REJECTED: residual"
@@ -273,7 +277,12 @@ def cmd_oz_compare(args) -> int:
 
 def cmd_oz_witness(args) -> int:
     from .multiplicity import SpaceMismatch
-    from .orderzero import NonCommutativeDomain, PreconditionViolated, oz_construct_witness
+    from .orderzero import (
+        DimensionMismatch,
+        NonCommutativeDomain,
+        PreconditionViolated,
+        oz_construct_witness,
+    )
 
     phi = _load_map(args.phi)
     psi = _load_map(args.psi)
@@ -286,7 +295,7 @@ def cmd_oz_witness(args) -> int:
             args.format,
         )
         return 4
-    except (NonCommutativeDomain, SpaceMismatch) as exc:
+    except (DimensionMismatch, NonCommutativeDomain, SpaceMismatch) as exc:
         raise CliInputError(str(exc)) from None
     doc = {
         "schema": SCHEMA,

@@ -17,7 +17,8 @@ Every spectral question reads one cached eigensystem per block,
 ``OrderZeroMap.spectrum``, and one rank rule: in diag mode every exact
 positive entry counts, in psd mode every eigenvalue above 1e-10 counts.
 Comparison, witness construction, epsilon cuts and epsilon ranks all use
-this rule.
+this rule; the ranks and the multiplicity profile are counted once per map
+(``OrderZeroMap.ranks`` and ``OrderZeroMap.multiplicity``).
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ class OrderZeroMap:
     blocks: Tuple[Block, ...]
     mode: str
 
-    @property
+    @cached_property
     def offsets(self) -> Tuple[int, ...]:
         out = []
         acc = 0
@@ -136,21 +137,24 @@ class OrderZeroMap:
         return np.asarray(h, dtype=float)
 
     def apply(self, element: Element) -> np.ndarray:
-        """Evaluate the map on a domain element, given block by block."""
+        """Evaluate the map on a domain element, given block by block.
+
+        Block i of the image is the Kronecker product H_i (x) a_i, built as
+        one broadcast product of its entries."""
         if len(element) != len(self.domain.blocks):
             raise DimensionMismatch(
                 f"element has {len(element)} blocks, domain has {len(self.domain.blocks)}"
             )
-        out = np.zeros((self.target_dim, self.target_dim))
-        for i, (m, n) in enumerate(zip(self.mults, self.domain.blocks)):
+        out = _zeros(self.target_dim, self.target_dim)
+        for i, (m, n, off) in enumerate(zip(self.mults, self.domain.blocks, self.offsets)):
             if m == 0:
                 continue
             a = np.atleast_2d(np.asarray(element[i], dtype=float))
             if a.shape != (n, n):
                 raise DimensionMismatch(f"block {i} must be {n}x{n}, got {a.shape}")
-            piece = np.kron(self.block_dense(i), a)
-            off = self.offsets[i]
-            out[off : off + m * n, off : off + m * n] = piece
+            h = self.block_dense(i)
+            piece = h[:, None, :, None] * a[None, :, None, :]
+            out[off : off + m * n, off : off + m * n] = piece.reshape(m * n, m * n)
         return out
 
     @cached_property
@@ -170,8 +174,37 @@ class OrderZeroMap:
         """Eigenvalues above this count as positive: 0 exactly, or 1e-10."""
         return 0 if self.mode == DIAG else EIG_CUTOFF
 
+    @cached_property
+    def ranks(self) -> Tuple[int, ...]:
+        """The rank of every H_i under the rank rule, counted on first use."""
+        return tuple(sum(1 for x in w if x > self.cutoff) for w, _ in self.spectrum)
+
     def point_rank(self, i: int) -> int:
-        return sum(1 for x in self.spectrum[i][0] if x > self.cutoff)
+        return self.ranks[i]
+
+    @cached_property
+    def multiplicity(self) -> MultiplicityFunction:
+        """The multiplicity function of a commutative-domain map.
+
+        Point i of the spectrum carries the rank of H_i; rank-zero points are
+        simply absent from the atom list.  Built on first use; a
+        non-commutative domain raises ``NonCommutativeDomain`` on every call.
+        """
+        if not self.domain.is_commutative:
+            raise NonCommutativeDomain("multiplicity profiles need a commutative domain")
+        atoms = {p: ExtNat(r) for p, r in zip(self.domain.point_labels, self.ranks) if r}
+        return mf(self.domain.spectrum(), atoms)
+
+
+def _zeros(*shape: int) -> np.ndarray:
+    """A dense zero matrix (or stack), refusing a shape numpy cannot
+    allocate with ``DimensionMismatch`` instead of numpy's own error."""
+    try:
+        return np.zeros(shape)
+    except (ValueError, MemoryError) as exc:
+        raise DimensionMismatch(
+            f"target_dim too large for a dense {'x'.join(map(str, shape[-2:]))} matrix: {exc}"
+        ) from None
 
 
 def oz_new(
@@ -341,20 +374,8 @@ def _float(x) -> float:
 
 
 def oz_multiplicity(phi: OrderZeroMap) -> MultiplicityFunction:
-    """The multiplicity function of a commutative-domain map.
-
-    Point i of the spectrum carries the rank of H_i; rank-zero points are
-    simply absent from the atom list.
-    """
-    if not phi.domain.is_commutative:
-        raise NonCommutativeDomain("multiplicity profiles need a commutative domain")
-    space = phi.domain.spectrum()
-    atoms = {}
-    for i, label in enumerate(phi.domain.point_labels):
-        r = phi.point_rank(i)
-        if r:
-            atoms[label] = ExtNat(r)
-    return mf(space, atoms)
+    """The multiplicity function of a commutative-domain map (cached per map)."""
+    return phi.multiplicity
 
 
 def oz_cuntz_leq_commutative(phi: OrderZeroMap, psi: OrderZeroMap) -> bool:
@@ -420,7 +441,7 @@ def oz_construct_witness(
     """
     if not oz_cuntz_leq_commutative(phi, psi):
         raise PreconditionViolated("phi is not below psi; no witness exists")
-    b = np.zeros((psi.target_dim, phi.target_dim))
+    b = _zeros(psi.target_dim, phi.target_dim)
     for i in range(len(phi.domain.blocks)):
         lam, vecs_phi = _eigpairs(phi, i)
         mu, vecs_psi = _eigpairs(psi, i)
@@ -633,15 +654,15 @@ def oz_witness_search(
     r = b^T psi(g) b - phi(g) for every candidate b and generator g by
     broadcast matrix products.  The largest column 2-norm of r is a lower
     bound of its operator norm, so a candidate whose bound is not below the
-    running best cannot improve it and is skipped.  The candidate with the
-    lowest bound seeds the best; the operator norms of all remaining
-    candidates below it come from one stacked SVD.  The returned minimum is
-    the one an exact norm of every candidate would give.
+    running best cannot improve it.  Exact operator norms (stacked SVDs)
+    are taken in ascending order of the bound: the lowest alone, then
+    batches of 16, until the next bound reaches the running best.  The
+    returned minimum is the one an exact norm of every candidate would give.
     """
     rng = np.random.default_rng(seed)
     psi_g, phi_g = _generator_images(phi, psi)
     best = float("inf")
-    chunk = 512
+    chunk, batch = 512, 16
     left = samples
     while left > 0:
         s = min(chunk, left)
@@ -649,14 +670,14 @@ def oz_witness_search(
         bs = rng.standard_normal((s, psi.target_dim, phi.target_dim))
         bs *= rng.uniform(0.05, 2.0, size=(s, 1, 1))
         r = _residuals(bs, psi_g, phi_g)
-        lower = np.linalg.norm(r, axis=-2).max(axis=(1, 2), initial=0.0)
-        seed_idx = int(np.argmin(lower))
-        if lower[seed_idx] >= best:
-            continue
-        best = min(best, float(_op_norms(r[seed_idx]).max()))
-        below = lower < best
-        if below.any():
-            best = min(best, float(_op_norms(r[below]).max(axis=1).min()))
+        lower = np.sqrt(np.einsum("sgij,sgij->sgj", r, r).max(axis=(1, 2), initial=0.0))
+        order = np.argsort(lower)
+        start, size = 0, 1
+        while start < s and lower[order[start]] < best:
+            idx = order[start : start + size]
+            idx = idx[lower[idx] < best]
+            best = min(best, float(_op_norms(r[idx]).max(axis=1).min()))
+            start, size = start + size, batch
     return best
 
 
@@ -664,8 +685,28 @@ def _generator_images(
     phi: OrderZeroMap, psi: OrderZeroMap
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Stacks psi(g) and phi(g) over the matrix-unit generators g."""
-    gens = generators(phi.domain)
-    return np.stack([psi.apply(g) for g in gens]), np.stack([phi.apply(g) for g in gens])
+    if phi.domain != psi.domain:
+        raise DomainMismatch("the generator images need a common domain")
+    return _images(psi), _images(phi)
+
+
+def _images(phi: OrderZeroMap) -> np.ndarray:
+    """phi(g) for every matrix unit g, in the order of ``generators``.
+
+    The image of the unit E_rc of block i is H_i (x) E_rc: H_i itself on the
+    rows off+r, off+r+n, ... and the columns off+c, off+c+n, ... of the
+    block's corner, so each image is one strided write into a zero stack.
+    """
+    sizes = phi.domain.blocks
+    out = _zeros(sum(n * n for n in sizes), phi.target_dim, phi.target_dim)
+    g = 0
+    for i, (m, n, off) in enumerate(zip(phi.mults, sizes, phi.offsets)):
+        h, end = phi.block_dense(i), off + m * n
+        for r in range(n):
+            for c in range(n):
+                out[g, off + r : end : n, off + c : end : n] = h
+                g += 1
+    return out
 
 
 def _residuals(bs: np.ndarray, psi_g: np.ndarray, phi_g: np.ndarray) -> np.ndarray:

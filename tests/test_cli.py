@@ -295,6 +295,21 @@ def test_oz_rejects_non_finite_psd_block(tmp_path, capsys, entry):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["compare", "witness", "check"])
+def test_oz_target_too_large_for_a_dense_matrix_is_an_input_error(tmp_path, capsys, command):
+    big = {**diag_map_doc(10**30, ["1/2"]), "domain": [1, 1], "mult": [1, 0],
+           "blocks": [[["1/2"]], []]}
+    ok = {**diag_map_doc(3, ["1"]), "domain": [1, 1], "mult": [1, 1],
+          "blocks": [[["1"]], [["1/2"]]]}
+    maps = [write(tmp_path, "big.json", big)]
+    if command != "check":
+        maps.append(write(tmp_path, "ok.json", ok))
+    assert main(["oz", command, *maps]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: target_dim too large")
+
+
 def test_classify_rejects_a_strong_pseudoprime(capsys):
     assert main(["classify", "UHF(318665857834031151167461:inf)", "CAR"]) == 1
     assert "is not prime" in capsys.readouterr().err

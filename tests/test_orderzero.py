@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuntz.extnat import ExtNat
-from cuntz.multiplicity import Space
+from cuntz import orderzero
+from cuntz.multiplicity import Space, mf
 from cuntz.orderzero import (
     SCALARS,
     DimensionMismatch,
@@ -96,6 +97,61 @@ def test_apply_is_the_block_kron():
     assert np.allclose(out[4:, :], 0)
     with pytest.raises(DimensionMismatch):
         phi.apply([np.eye(3)])
+
+
+def kron_apply(phi, element):
+    """The dense apply before broadcasting: one np.kron per used block."""
+    out = np.zeros((phi.target_dim, phi.target_dim))
+    for i, (m, n, off) in enumerate(zip(phi.mults, phi.domain.blocks, phi.offsets)):
+        if m:
+            out[off : off + m * n, off : off + m * n] = np.kron(
+                phi.block_dense(i), np.asarray(element[i], dtype=float)
+            )
+    return out
+
+
+def image_cases():
+    """Maps on commutative and non-commutative domains, with a zero
+    multiplicity and a target larger than the used dimension."""
+    rng = np.random.default_rng(5)
+    psd = lambda m: random_block(rng, "psd", m, m)  # noqa: E731
+    return [
+        diag_map(findim(2), 7, (F(1), F(1, 2), F(0))),
+        oz_new(findim(2), 9, [2], [psd(2)], "psd"),
+        oz_new(findim(1, 3), 11, [2, 3], [psd(2), psd(3)], "psd"),
+        oz_new(findim(1, 3), 8, [0, 2], [(), (F(1, 3), F(1))], "diag"),
+        oz_new(findim(3, 1, 2), 10, [1, 0, 2], [psd(1), np.zeros((0, 0)), psd(2)], "psd"),
+        diag_map(findim(1, 1, 1), 6, (F(1, 4),), (), (F(1), F(1, 2))),
+        oz_new(SCALARS, 0, [0], [()], "diag"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_block_built_images_equal_the_dense_apply(case):
+    phi = image_cases()[case]
+    gens = generators(phi.domain)
+    dense = np.stack([phi.apply(g) for g in gens])
+    psi_g, phi_g = orderzero._generator_images(phi, phi)
+    assert phi_g.shape == dense.shape == (len(gens), phi.target_dim, phi.target_dim)
+    assert np.array_equal(phi_g, dense) and np.array_equal(psi_g, dense)
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_apply_equals_the_kron_reference_bit_for_bit(case):
+    phi = image_cases()[case]
+    rng = np.random.default_rng(case)
+    for _ in range(3):
+        element = [rng.standard_normal((n, n)) for n in phi.domain.blocks]
+        assert phi.apply(element).tobytes() == kron_apply(phi, element).tobytes()
+    for g in generators(phi.domain):
+        assert phi.apply(g).tobytes() == kron_apply(phi, g).tobytes()
+
+
+def test_generator_images_need_a_common_domain():
+    with pytest.raises(DomainMismatch):
+        oz_witness_search(
+            diag_map(findim(1, 1), 3, (F(1),), ()), diag_map(findim(1), 3, (F(1),)), 10
+        )
 
 
 def test_spectrum_is_cached_per_map(monkeypatch):
@@ -202,6 +258,66 @@ def test_multiplicity_profile():
     assert nu.value_at("x3") == ExtNat(1)
     with pytest.raises(NonCommutativeDomain):
         oz_multiplicity(diag_map(findim(2), 4, (F(1), F(1))))
+
+
+def recount(phi):
+    """Ranks and multiplicity function counted afresh from the blocks."""
+    ranks = []
+    for i in range(len(phi.mults)):
+        if phi.mode == "diag":
+            ranks.append(sum(1 for x in phi.blocks[i] if x > 0))
+        else:
+            ranks.append(int((np.linalg.eigvalsh(phi.block_dense(i)) > 1e-10).sum()))
+    space = phi.domain.spectrum()
+    return tuple(ranks), mf(space, {p: ExtNat(r) for p, r in zip(space.points, ranks) if r})
+
+
+@pytest.mark.parametrize("mode", ["diag", "psd"])
+def test_ranks_and_multiplicity_are_computed_once_on_first_use(mode):
+    rng = np.random.default_rng(3)
+    phi = random_map(rng, mode, [2, 0, 3, 1], 12)
+    assert "ranks" not in vars(phi) and "multiplicity" not in vars(phi)
+    ranks, nu = recount(phi)
+    assert phi.ranks == ranks
+    assert phi.multiplicity == nu
+    assert phi.multiplicity is phi.multiplicity is oz_multiplicity(phi)
+    assert [phi.point_rank(i) for i in range(4)] == list(ranks)
+
+
+def test_derived_maps_carry_their_own_profile():
+    phi = diag_map(findim(1, 1, 1), 9, (F(1), F(1, 2)), (F(1, 4),), (F(3, 4), F(1, 4), F(1, 8)))
+    assert phi.ranks == (2, 1, 3)
+    nu = phi.multiplicity
+    cut = oz_eps_cut(phi, F(1, 4))  # eps equals an eigenvalue: that rank drops
+    assert cut.ranks == (2, 0, 1) == recount(cut)[0]
+    assert cut.multiplicity == recount(cut)[1] != nu
+    assert phi.ranks == (2, 1, 3) and phi.multiplicity is nu
+    both = oz_direct_sum_hat(phi, cut)
+    assert both.ranks == (4, 1, 4) and both.multiplicity == recount(both)[1]
+    left, right = oz_split_direct_sum(phi, 1)
+    assert (left.ranks, right.ranks) == ((2,), (1, 3))
+    assert left.multiplicity == recount(left)[1] and right.multiplicity == recount(right)[1]
+    joined = oz_join_direct_sum(left, right)
+    assert joined.ranks == phi.ranks
+    assert joined.multiplicity == nu and joined.multiplicity is not nu
+    rng = np.random.default_rng(8)
+    dense = random_map(rng, "psd", [2, 1, 2], 9)
+    dense_cut = oz_eps_cut(dense, float(dense.spectrum[0][0][-1]))
+    assert dense_cut.ranks == recount(dense_cut)[0]
+    assert dense_cut.ranks[0] < dense.ranks[0] and dense_cut.multiplicity != dense.multiplicity
+
+
+def test_non_commutative_profile_raises_on_every_call():
+    phi = diag_map(findim(2), 4, (F(1), F(1)))
+    psi = diag_map(findim(2), 4, (F(1), F(1, 2)))
+    for _ in range(2):
+        with pytest.raises(NonCommutativeDomain):
+            phi.multiplicity
+        with pytest.raises(NonCommutativeDomain):
+            oz_multiplicity(phi)
+        with pytest.raises(NonCommutativeDomain):
+            oz_cuntz_leq_commutative(phi, psi)
+    assert phi.ranks == (2,)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +445,48 @@ def test_witness_search_respects_eckart_young(mode, points, dims, seed):
         margin = max(margin, float(sv[r]) if r < len(sv) else 0.0)
     assert margin >= 0.25 - 1e-12
     assert oz_witness_search(phi, psi, samples=600, seed=seed) >= margin - 1e-12
+
+
+@pytest.mark.parametrize("mode", ["diag", "psd"])
+def test_witness_search_stops_early_on_a_constant_residual(mode, monkeypatch):
+    # psi has rank 0 at every point, so b^T psi(g) b vanishes and every
+    # candidate's residual is -phi(g): one exact norm settles the search.
+    rng = np.random.default_rng(4)
+    phi = random_map(rng, mode, [2, 1], 5)
+    psi = oz_new(findim(1, 1), 3, [1, 2], [(F(0),), (F(0), F(0))], "diag")
+    if mode == "psd":
+        psi = oz_new(findim(1, 1), 3, [1, 2], [np.zeros((1, 1)), np.zeros((2, 2))], "psd")
+    assert psi.ranks == (0, 0)
+    normed = []
+    op_norms = orderzero._op_norms
+    monkeypatch.setattr(
+        orderzero, "_op_norms", lambda m: normed.append(len(m)) or op_norms(m)
+    )
+    best = oz_witness_search(phi, psi, samples=1300, seed=2)
+    monkeypatch.setattr(orderzero, "_op_norms", op_norms)
+    expected = max(op_norm(phi.apply(g)) for g in generators(phi.domain))
+    assert abs(best - expected) <= 1e-12
+    assert abs(best - reference_witness_search(phi, psi, 1300, 2)) <= 1e-12
+    if mode == "diag":  # a diagonal residual's largest column norm is its norm
+        assert normed == [1]
+
+
+def test_a_target_too_large_for_a_dense_matrix_is_a_dimension_mismatch():
+    # 10^30 only: numpy refuses that shape at once, while 10^4 would
+    # allocate gigabytes.
+    big = oz_new(findim(1, 1), 10**30, [1, 0], [(F(1, 2),), ()], "diag")
+    ok = diag_map(findim(1, 1), 3, (F(1),), (F(1, 2),))
+    assert oz_cuntz_leq_commutative(big, ok)  # ranks need no matrix
+    calls = [
+        lambda: big.apply([np.eye(1), np.eye(1)]),
+        lambda: oz_construct_witness(big, ok),
+        lambda: oz_witness_search(big, ok, samples=10),
+        lambda: oz_witness_search(ok, big, samples=10),
+        lambda: oz_check_order_zero(big, trials=1),
+    ]
+    for call in calls:
+        with pytest.raises(DimensionMismatch, match="target_dim"):
+            call()
 
 
 def test_search_and_verify_accept_an_empty_target():
