@@ -120,11 +120,6 @@ class _Chain(AlgebraExpr):
             operands = operands[0].items + operands[1:]
         object.__setattr__(self, "items", operands)
 
-    def split(self) -> Tuple[AlgebraExpr, AlgebraExpr]:
-        """The binary view: the chain of all but the last operand, and the last."""
-        *head, last = self.items
-        return (head[0] if len(head) == 1 else type(self)(*head)), last
-
 
 class Tensor(_Chain):
     pass

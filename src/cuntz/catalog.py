@@ -7,16 +7,15 @@ isomorphisms (recovery of the univariant semigroup, matrix and limit
 stability, additivity, absorption of a strongly self-absorbing tensor
 factor), and last-resort absorption of a bare strongly self-absorbing first
 argument.  A lower class always fires before a higher one; inside a class a
-fixed priority breaks ties, and the confluence explorer checks that any
-class-respecting order of the tied rules reaches the same canonical value.
+fixed priority breaks ties, and the tests check that any class-respecting
+order of the tied rules reaches the same canonical value.
 Every step is recorded with the name of the theorem that justifies it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product as _cartesian
-from typing import Callable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .algebra import (
     COMPLEX,
@@ -392,7 +391,7 @@ def _r_domain_strip(q: Query) -> Optional[Outcome]:
 
 def _summand_exprs(e: AlgebraExpr) -> Optional[Tuple[AlgebraExpr, ...]]:
     if isinstance(e, DirectSum):
-        return e.split()
+        return e.items
     if isinstance(e, FinDim) and len(e.sizes) >= 2:
         return tuple(Mat(n) for n in e.sizes)
     if isinstance(e, CX):
@@ -403,39 +402,39 @@ def _summand_exprs(e: AlgebraExpr) -> Optional[Tuple[AlgebraExpr, ...]]:
 def _r_additivity(q: Query) -> Optional[Outcome]:
     if q.variant == "WW":
         return None
-    parts = _summand_exprs(q.a)
-    if parts is not None:
-        queries = tuple(Query(q.variant, p, q.b) for p in parts)
+    if (parts := _summand_exprs(q.a)) is not None:
+        part = lambda e: Query(q.variant, e, q.b)
     elif q.variant == "W" and (parts := _summand_exprs(q.b)) is not None:
-        queries = tuple(Query("W", q.a, p) for p in parts)
+        part = lambda e: Query("W", q.a, e)
     else:
         return None
+    # The leading summands that admit only zero maps stay one part, so that
+    # they print as a single {0} in the value of the sum.
+    run = next((i for i, e in enumerate(parts) if _r_zero(part(e)) is None), len(parts))
+    if run > 1:
+        parts = (DirectSum(*parts[:run]), *parts[run:])
+    queries = tuple(map(part, parts))
     return queries[0] if len(queries) == 1 else queries
 
 
-def _absorb_first(e: AlgebraExpr, b: AlgebraExpr) -> Optional[AlgebraExpr]:
-    """e with its first strongly self-absorbing tensor factor that b absorbs
+def _absorb(e: AlgebraExpr, b: AlgebraExpr) -> AlgebraExpr:
+    """e with every strongly self-absorbing tensor factor that b absorbs
     replaced by C, looking through amplifications, limits and
-    stabilization; None when there is no such factor."""
+    stabilization."""
     if isinstance(e, Tensor):
-        for i, item in enumerate(e.items):
-            rest = _absorb_first(item, b)
-            if rest is not None:
-                return Tensor(*e.items[:i], rest, *e.items[i + 1 :])
-        return None
+        return Tensor(*(_absorb(item, b) for item in e.items))
     if isinstance(e, (Stabilize, MatInf, MatAmp)):
-        rest = _absorb_first(e.inner, b)
-        return None if rest is None else replace(e, inner=rest)
+        return replace(e, inner=_absorb(e.inner, b))
     if is_strongly_self_absorbing(e) and absorbs(b, e):
         return COMPLEX
-    return None
+    return e
 
 
 def _r_absorption(q: Query) -> Optional[Outcome]:
     if q.variant != "W" or is_strongly_self_absorbing(q.a):
         return None
-    rest = _absorb_first(q.a, q.b)
-    return None if rest is None else Query("W", rest, q.b)
+    rest = _absorb(q.a, q.b)
+    return None if rest == q.a else Query("W", rest, q.b)
 
 
 def _r_bare_absorption(q: Query) -> Optional[Outcome]:
@@ -520,8 +519,9 @@ def _evaluate(q: Query) -> Tuple[SemigroupValue, RewriteTrace]:
     values: List[SemigroupValue] = []
     while stack:
         q, before = stack.pop()
-        # A chain of n absorbed factors takes n steps, so the budget grows
-        # with the query: every node of it prints as at least one character.
+        # The budget only guards termination.  It grows with the query, so
+        # that no long query is cut short: every node of it prints as at
+        # least one character.
         for _ in range(64 + len(before)):
             matched = _matches(q)
             if not matched:
@@ -557,32 +557,6 @@ def eval_W(a: AlgebraExpr, b: AlgebraExpr) -> Tuple[SemigroupValue, RewriteTrace
 def eval_WW(a: AlgebraExpr, b: AlgebraExpr) -> Tuple[SemigroupValue, RewriteTrace]:
     """Evaluate WW(a,b) = W(a (x) K, b (x) K) to a canonical value."""
     return _evaluate(Query("WW", a, b))
-
-
-def explore_values(q: Query, depth: int = 8) -> Set[SemigroupValue]:
-    """All values reachable by class-respecting rule orders.
-
-    The evaluator picks the highest-priority rule among those of the lowest
-    matching class; here every rule of that class is tried.  A singleton
-    result certifies confluence for the query.
-    """
-    q = _normalize_query(q)
-    if depth < 0:
-        return {UnknownSG("depth limit exceeded")}
-    matched = _matches(q)
-    if not matched:
-        return {_terminal_value(q)}
-    out: Set[SemigroupValue] = set()
-    for rule, outcome in matched:
-        if isinstance(outcome, SemigroupValue):
-            out.add(outcome)
-        elif isinstance(outcome, Query):
-            out |= explore_values(outcome, depth - 1)
-        else:
-            part_sets = [explore_values(p, depth - 1) for p in outcome]
-            for combo in _cartesian(*part_sets):
-                out.add(direct_sum_value(list(combo)))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ The two morphism axioms:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Callable, Iterator, List, Optional, Sequence, TypeVar
 
 from .extnat import INF, ExtNat, way_below
 
@@ -84,6 +84,12 @@ class Fragment:
         return [x for x in self.elements if self.aux(x, a)]
 
 
+def _first(axiom: str, counterexamples: Iterator[str]) -> AxiomCheck:
+    """The check of one axiom: the first counterexample, if there is one."""
+    witness = next(counterexamples, None)
+    return AxiomCheck(axiom, witness is None, witness)
+
+
 def check_wo_axioms(fragment: Fragment) -> List[AxiomCheck]:
     """Check the four object axioms on a fragment.
 
@@ -102,83 +108,55 @@ def check_wo_axioms(fragment: Fragment) -> List[AxiomCheck]:
             sums[key] = fragment.checked_add(x, y)
         return sums[key]
 
-    directed = AxiomCheck("O1", True)
-    for a in elems:
-        low = lowers[a]
-        for x in low:
-            for y in low:
-                if not any(leq(x, z) and leq(y, z) for z in low):
-                    directed = AxiomCheck(
-                        "O1", False, f"lower set of {a} not directed at ({x}, {y})"
-                    )
-                    break
-            if not directed.passed:
-                break
-        if not directed.passed:
-            break
-        top = _greatest(low, leq)
-        if top is None or not aux(top, top):
-            directed = AxiomCheck(
-                "O1", False, f"lower set of {a} has no aux-compact greatest element"
-            )
-            break
+    def directed():
+        for a in elems:
+            low = lowers[a]
+            for x in low:
+                for y in low:
+                    if not any(leq(x, z) and leq(y, z) for z in low):
+                        yield f"lower set of {a} not directed at ({x}, {y})"
+            top = _greatest(low, leq)
+            if top is None or not aux(top, top):
+                yield f"lower set of {a} has no aux-compact greatest element"
 
-    sup_ok = AxiomCheck("O2", True)
-    for a in elems:
-        low = lowers[a]
-        s = fragment.sup(low)
-        if s is None:
-            sup_ok = AxiomCheck("O2", False, f"sup undefined on the lower set of {a}")
-            break
-        if not all(leq(x, s) for x in low) or not leq(s, a):
-            sup_ok = AxiomCheck("O2", False, f"sup of lower set of {a} returned {s}")
-            break
-        if aux(a, a) and s != a:
-            sup_ok = AxiomCheck(
-                "O2", False, f"{a} is aux-compact but sup of its lower set is {s}"
-            )
-            break
+    def sup_ok():
+        for a in elems:
+            low = lowers[a]
+            s = fragment.sup(low)
+            if s is None:
+                yield f"sup undefined on the lower set of {a}"
+            elif not all(leq(x, s) for x in low) or not leq(s, a):
+                yield f"sup of lower set of {a} returned {s}"
+            elif aux(a, a) and s != a:
+                yield f"{a} is aux-compact but sup of its lower set is {s}"
 
-    additive = AxiomCheck("O3", True)
-    for a in elems:
-        for b in elems:
-            ab = cadd(a, b)
-            for a1 in lowers[a]:
-                for b1 in lowers[b]:
-                    if not aux(cadd(a1, b1), ab):
-                        additive = AxiomCheck(
-                            "O3", False, f"aux({a1}+{b1}, {a}+{b}) fails"
-                        )
-                        break
-                if not additive.passed:
-                    break
-            if not additive.passed:
-                break
-        if not additive.passed:
-            break
+    def additive():
+        for a in elems:
+            for b in elems:
+                ab = cadd(a, b)
+                for a1 in lowers[a]:
+                    for b1 in lowers[b]:
+                        if not aux(cadd(a1, b1), ab):
+                            yield f"aux({a1}+{b1}, {a}+{b}) fails"
 
-    cofinal = AxiomCheck("O4", True)
-    for a in elems:
-        # Largest candidates first: a dominating split sum is usually found
-        # on the first try, keeping the search near linear.
-        rev_a = list(reversed(lowers[a]))
-        for b in elems:
-            ab = cadd(a, b)
-            rev_b = list(reversed(lowers[b]))
-            for c in lowers[ab]:
-                if not any(
-                    leq(c, cadd(a1, b1)) for a1 in rev_a for b1 in rev_b
-                ):
-                    cofinal = AxiomCheck(
-                        "O4", False, f"{c} aux-below {a}+{b} but no dominating split sum"
-                    )
-                    break
-            if not cofinal.passed:
-                break
-        if not cofinal.passed:
-            break
+    def cofinal():
+        for a in elems:
+            # Largest candidates first: a dominating split sum is usually
+            # found on the first try, keeping the search near linear.
+            rev_a = list(reversed(lowers[a]))
+            for b in elems:
+                ab = cadd(a, b)
+                rev_b = list(reversed(lowers[b]))
+                for c in lowers[ab]:
+                    if not any(leq(c, cadd(a1, b1)) for a1 in rev_a for b1 in rev_b):
+                        yield f"{c} aux-below {a}+{b} but no dominating split sum"
 
-    return [directed, sup_ok, additive, cofinal]
+    return [
+        _first("O1", directed()),
+        _first("O2", sup_ok()),
+        _first("O3", additive()),
+        _first("O4", cofinal()),
+    ]
 
 
 def check_wm_axioms(
@@ -195,35 +173,23 @@ def check_wm_axioms(
             raise FragmentNotClosed(f"image {m} of {s} escapes the target fragment")
         images[s] = m
 
-    continuity = AxiomCheck("M1", True)
-    for s in source.elements:
-        fs = images[s]
-        for t in target.elements:
-            if not target.aux(t, fs):
-                continue
-            if not any(
-                source.aux(s1, s) and target.leq(t, images[s1])
-                for s1 in source.elements
-            ):
-                continuity = AxiomCheck(
-                    "M1", False, f"aux({t}, f({s})) has no lift below {s}"
-                )
-                break
-        if not continuity.passed:
-            break
+    def continuity():
+        for s in source.elements:
+            fs = images[s]
+            for t in target.elements:
+                if target.aux(t, fs) and not any(
+                    source.aux(s1, s) and target.leq(t, images[s1])
+                    for s1 in source.elements
+                ):
+                    yield f"aux({t}, f({s})) has no lift below {s}"
 
-    preserves = AxiomCheck("M2", True)
-    for a in source.elements:
-        for b in source.elements:
-            if source.aux(a, b) and not target.aux(images[a], images[b]):
-                preserves = AxiomCheck(
-                    "M2", False, f"aux({a}, {b}) holds but aux(f({a}), f({b})) fails"
-                )
-                break
-        if not preserves.passed:
-            break
+    def preserves():
+        for a in source.elements:
+            for b in source.elements:
+                if source.aux(a, b) and not target.aux(images[a], images[b]):
+                    yield f"aux({a}, {b}) holds but aux(f({a}), f({b})) fails"
 
-    return [continuity, preserves]
+    return [_first("M1", continuity()), _first("M2", preserves())]
 
 
 def _greatest(values: Sequence[T], leq) -> Optional[T]:

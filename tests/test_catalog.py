@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from cuntz import catalog
@@ -23,7 +25,6 @@ from cuntz.catalog import (
     eval_W,
     eval_WW,
     eval_cuntz_homology,
-    explore_values,
     has_unknown,
     query_text,
     scale_membership_note,
@@ -110,8 +111,8 @@ SSA_CANONICAL = {
 @pytest.mark.parametrize("n", [70, 80])
 @pytest.mark.parametrize("d", sorted(SSA_CANONICAL))
 def test_long_absorbed_chains_evaluate(d, n):
-    # D^n is D: one rewrite step per absorbed factor, past the old fixed
-    # budget of 64 steps.
+    # D^n is D: one R5 step absorbs every factor, so the trace stays as short
+    # as for a single factor.
     chain = " (x) ".join([d] * n)
     self_pairing = CarSG() if d == "CAR" else WOfSG(parse_algebra(SSA_CANONICAL[d]))
     for target, expected in [
@@ -121,7 +122,47 @@ def test_long_absorbed_chains_evaluate(d, n):
     ]:
         value, trace = W(chain, target)
         assert value == expected
-        assert len(trace) >= n
+        assert rules(trace).count("R5") == 1
+        assert len(trace) <= 4
+
+
+LINEAR_TRACE_FACTORS = ["Z", "CAR", "Q", "UHF(3:inf)", "O2"]
+
+
+def _eval_text(a, b, capsys):
+    """The query text, the value text, the trace lines and their rule names
+    as `cuntz eval` prints them."""
+    assert main(["eval", a, b]) == 0
+    first, *lines = capsys.readouterr().out.splitlines()
+    query, value = first.split(" = ", 1)
+    return query, value, lines, [line.split(" [", 1)[0].strip() for line in lines]
+
+
+@pytest.mark.parametrize("n", [10, 100, 1000])
+@pytest.mark.parametrize("d", LINEAR_TRACE_FACTORS)
+def test_one_additivity_step_names_every_summand(d, n, capsys):
+    # n summands, each a chain of 32 factors D, against D: one R4 step lists
+    # every part once, and one R5 step per part absorbs its whole chain.
+    chain = " (x) ".join([SSA_CANONICAL[d]] * 32)
+    query, value, lines, steps = _eval_text(" (+) ".join([chain] * n), d, capsys)
+    assert value == value_text(direct_sum_value([W(chain, d)[0]] * n))
+    assert steps[0] == "R4" and steps.count("R4") == 1
+    part = f"W({chain}, {SSA_CANONICAL[d]})"
+    assert lines[0].split(" => ", 1)[1].split(" (+) ") == [part] * n
+    assert steps.count("R5") == n
+    assert len("\n".join(lines)) <= 4 * len(query)
+
+
+@pytest.mark.parametrize("n", [50, 1000])
+def test_one_absorption_step_strips_every_factor(n, capsys):
+    # a chain cycling through five strongly self-absorbing factors, against a
+    # target that absorbs each of them
+    chain = " (x) ".join(LINEAR_TRACE_FACTORS[i % 5] for i in range(n))
+    query, value, lines, steps = _eval_text(chain, "Q (x) Z (x) O2", capsys)
+    assert value == "W(UHF(Q) (x) Z (x) O2)"
+    assert steps == ["R5", "R1"]
+    assert lines[0].endswith(" => W(C, UHF(Q) (x) Z (x) O2)")
+    assert len("\n".join(lines)) <= 4 * len(query)
 
 
 def _looping_on_z(monkeypatch):
@@ -181,6 +222,9 @@ def test_tensor_factor_absorption_path():
     value, trace = W("CAR (x) Q", "Q")
     assert value == WOfSG(parse_algebra("Q"))
     assert "strongly self-absorbing absorption theorem" in anchors(trace)
+    # a bare strongly self-absorbing first argument is absorbed by R7
+    value, trace = W("Q", "Q")
+    assert value == WOfSG(parse_algebra("Q"))
     assert "absorption of a strongly self-absorbing factor" in anchors(trace)
 
 
@@ -198,6 +242,24 @@ def test_direct_sum_of_terminals():
     value, _ = W("C", "Z (+) Z")
     assert value == DirectSumSG((WOfSG(parse_algebra("Z")), WOfSG(parse_algebra("Z"))))
     assert value_text(value) == "⊕[W(Z), W(Z)]"
+
+
+@pytest.mark.parametrize(
+    "a,b,parts,value",
+    [
+        ("Z (+) O2 (+) C (+) Z", "C", "W(Z (+) O2, C) (+) W(C, C) (+) W(Z, C)",
+         "⊕[ℕ₀, {0}, {0}]"),
+        ("C (+) Z (+) O2", "C", "W(C, C) (+) W(Z, C) (+) W(O2, C)", "⊕[ℕ₀, {0}, {0}]"),
+        ("Z", "M(2) (+) M(3) (+) stab(Z)", "W(Z, M(2) (+) M(3)) (+) W(Z, stab(Z))",
+         "⊕[Cu(Z), {0}]"),
+    ],
+)
+def test_a_leading_run_of_zero_summands_stays_one_part(a, b, parts, value):
+    # the summands that admit only zero maps before the first one that does
+    # not are one part of the R4 step, with the single value {0}
+    got, trace = W(a, b)
+    assert value_text(got) == value
+    assert (trace[0].rule, trace[0].after) == ("R4", parts)
 
 
 def test_unknown_query_is_reported():
@@ -240,6 +302,32 @@ def test_trace_steps_chain():
 
 # ---------------------------------------------------------------------------
 # Confluence of admissible rule orders.
+
+def explore_values(q, depth=8):
+    """All values reachable by class-respecting rule orders.
+
+    The evaluator picks the highest-priority rule among those of the lowest
+    matching class; here every rule of that class is tried.  A singleton
+    result certifies confluence for the query.
+    """
+    q = catalog._normalize_query(q)
+    if depth < 0:
+        return {UnknownSG("depth limit exceeded")}
+    matched = catalog._matches(q)
+    if not matched:
+        return {catalog._terminal_value(q)}
+    out = set()
+    for rule, outcome in matched:
+        if isinstance(outcome, catalog.SemigroupValue):
+            out.add(outcome)
+        elif isinstance(outcome, Query):
+            out |= explore_values(outcome, depth - 1)
+        else:
+            part_sets = [explore_values(p, depth - 1) for p in outcome]
+            for combo in product(*part_sets):
+                out.add(direct_sum_value(list(combo)))
+    return out
+
 
 CONFLUENT_QUERIES = [
     ("W", "C", "C"),
