@@ -200,9 +200,9 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
             tokens.append(("COLON", ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(("INT", text[i:j], i))
             i = j

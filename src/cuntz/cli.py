@@ -149,7 +149,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from .multiplicity import SpaceMismatch, mf_from_json, mf_leq, space_from_json
+    from .multiplicity import mf_from_json, mf_leq, space_from_json
 
     space_doc = _load_doc(args.space)
     nu_doc = _load_doc(args.nu)
@@ -162,12 +162,7 @@ def cmd_compare(args) -> int:
         raise CliInputError(f"invalid document: {exc}") from None
     if nu.space != space or mu.space != space:
         raise CliInputError("documents disagree about the underlying space")
-    try:
-        below = mf_leq(nu, mu)
-        above = mf_leq(mu, nu)
-    except SpaceMismatch as exc:
-        raise CliInputError(str(exc)) from None
-    verdict = _VERDICTS[(below, above)]
+    verdict = _VERDICTS[(mf_leq(nu, mu), mf_leq(mu, nu))]
     _emit({"schema": SCHEMA, "verdict": verdict}, [verdict], args.format)
     return 0
 

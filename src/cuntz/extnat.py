@@ -49,7 +49,7 @@ class ExtNat:
         text = text.strip()
         if text == "inf":
             return cls.infinity()
-        if not text.isdigit():
+        if not text.isdecimal():
             raise ValueError(f"not an extended natural: {text!r}")
         return cls(int(text))
 

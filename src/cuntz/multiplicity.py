@@ -16,7 +16,7 @@ with finite values.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -362,9 +362,6 @@ class RecoveredSpace:
 
     point_count: int
     closed_sets: Tuple[frozenset, ...]
-    zero_token: object = field(repr=False, default=None)
-    point_tokens: Tuple[object, ...] = field(repr=False, default=())
-    idempotent_tokens: Tuple[object, ...] = field(repr=False, default=())
 
 
 def mf_recover_space(
@@ -431,52 +428,13 @@ def mf_recover_space(
             f"{len(idempotents)} idempotents cannot form a power set on {k} points"
         )
 
-    closed_sets = set()
-    for w in idempotents:
-        members = frozenset(i for i, d in enumerate(deltas) if add(w, d) == w)
-        closed_sets.add(members)
+    closed_sets = {
+        frozenset(i for i, d in enumerate(deltas) if add(w, d) == w) for w in idempotents
+    }
     if len(closed_sets) != 2**k:
         raise FragmentInconsistent("absorption tests do not separate the idempotents")
 
-    canonical = tuple(sorted(closed_sets, key=lambda s: (len(s), sorted(s))))
-    return RecoveredSpace(
-        point_count=k,
-        closed_sets=canonical,
-        zero_token=zero,
-        point_tokens=tuple(deltas),
-        idempotent_tokens=tuple(idempotents),
-    )
-
-
-def unit_fragment(space: Space) -> List[MultiplicityFunction]:
-    """All {0,1,inf}-valued multiplicity functions on a finite discrete space."""
-    if not space.is_discrete:
-        raise ValueError("unit fragments exist over discrete spaces only")
-    out = []
-    for states in iproduct((0, 1, 2), repeat=len(space.points)):
-        atoms = {}
-        for p, s in zip(space.points, states):
-            if s == 1:
-                atoms[p] = ExtNat(1)
-            elif s == 2:
-                atoms[p] = INF
-        out.append(mf(space, atoms))
-    return out
-
-
-def recover_from_functions(fragment: Sequence[MultiplicityFunction]) -> RecoveredSpace:
-    """Run the reconstruction against actual multiplicity-function values."""
-    pool = list(fragment)
-    index = {f: f for f in pool}
-
-    def add(a, b):
-        try:
-            s = mf_add(a, b)
-        except SpaceMismatch:
-            return None
-        return index.get(s)
-
-    return mf_recover_space(pool, add, mf_leq)
+    return RecoveredSpace(k, tuple(sorted(closed_sets, key=lambda s: (len(s), sorted(s)))))
 
 
 def opaque_fragment(
@@ -542,7 +500,10 @@ def space_from_json(doc: dict) -> Space:
         raise ValueError(f"a space document is a JSON object, got {doc!r}")
     kind = doc.get("kind")
     if kind == "discrete":
-        return Space.discrete(doc["points"])
+        points = doc.get("points")
+        if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
+            raise ValueError(f"discrete points must be a list of strings, got {points!r}")
+        return Space.discrete(points)
     if kind == "interval":
         return UNIT_INTERVAL
     raise ValueError(f"unknown space kind {kind!r}")

@@ -750,10 +750,17 @@ def oz_to_json(phi: OrderZeroMap) -> dict:
     }
 
 
+def _json_int(value, what: str) -> int:
+    # Not int(): it would truncate 1.5 and read true as 1.
+    if type(value) is not int:
+        raise ValueError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def oz_from_json(doc: dict) -> OrderZeroMap:
-    domain = FinDimAlgebra(tuple(int(n) for n in doc["domain"]))
+    domain = FinDimAlgebra(tuple(_json_int(n, "domain") for n in doc["domain"]))
     mode = doc.get("mode", DIAG)
-    mults = [int(m) for m in doc["mult"]]
+    mults = [_json_int(m, "mult") for m in doc["mult"]]
     raw_blocks = doc["blocks"]
     if len(raw_blocks) != len(mults):
         raise DimensionMismatch("need one block matrix per multiplicity")
@@ -775,4 +782,5 @@ def oz_from_json(doc: dict) -> OrderZeroMap:
             blocks.append(diag)
         else:
             blocks.append(np.array([[float(x) for x in r] for r in rows]).reshape(m, m))
-    return oz_new(domain, int(doc["target_dim"]), mults, blocks, mode)
+    target_dim = _json_int(doc["target_dim"], "target_dim")
+    return oz_new(domain, target_dim, mults, blocks, mode)

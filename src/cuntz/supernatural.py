@@ -169,7 +169,7 @@ def sn_parse(text: str) -> Supernatural:
         base, _, exp = chunk.partition(":")
         base = base.strip()
         exp = exp.strip()
-        if not base.isdigit():
+        if not base.isdecimal():
             raise ValueError(f"bad prime {base!r}")
         pairs.append((int(base), ExtNat.parse(exp)))
     return sn_make(pairs)

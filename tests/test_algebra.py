@@ -42,6 +42,7 @@ def roundtrip(text):
 def test_leaf_syntax():
     assert parse_algebra("C") == COMPLEX
     assert parse_algebra("M(3)") == Mat(3)
+    assert parse_algebra("M(٣)") == Mat(3)  # a decimal digit of any script
     assert parse_algebra("F(2,3,5)") == FinDim((2, 3, 5))
     assert parse_algebra("CX(p,q,r)") == CX(("p", "q", "r"))
     assert parse_algebra("CX(1,2)") == CX(("1", "2"))
@@ -76,6 +77,7 @@ def test_syntax_errors_carry_positions():
         ("M(2) M(3)", 5),
         ("UHF(4:1)", 0),
         ("", 0),
+        ("M(²)", 2),
     ]:
         with pytest.raises(ExprSyntaxError) as err:
             parse_algebra(text)

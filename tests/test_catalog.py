@@ -247,16 +247,17 @@ def test_direct_sum_of_terminals():
 @pytest.mark.parametrize(
     "a,b,parts,value",
     [
-        ("Z (+) O2 (+) C (+) Z", "C", "W(Z (+) O2, C) (+) W(C, C) (+) W(Z, C)",
-         "⊕[ℕ₀, {0}, {0}]"),
+        ("Z (+) O2 (+) C (+) Z", "C", "W(Z, C) (+) W(O2, C) (+) W(C, C) (+) W(Z, C)",
+         "⊕[ℕ₀, {0}, {0}, {0}]"),
         ("C (+) Z (+) O2", "C", "W(C, C) (+) W(Z, C) (+) W(O2, C)", "⊕[ℕ₀, {0}, {0}]"),
-        ("Z", "M(2) (+) M(3) (+) stab(Z)", "W(Z, M(2) (+) M(3)) (+) W(Z, stab(Z))",
-         "⊕[Cu(Z), {0}]"),
+        ("Z", "M(2) (+) M(3) (+) stab(Z)", "W(Z, M(2)) (+) W(Z, M(3)) (+) W(Z, stab(Z))",
+         "⊕[Cu(Z), {0}, {0}]"),
     ],
+    ids=["zero-first", "zero-last", "target"],
 )
-def test_a_leading_run_of_zero_summands_stays_one_part(a, b, parts, value):
-    # the summands that admit only zero maps before the first one that does
-    # not are one part of the R4 step, with the single value {0}
+def test_every_summand_is_its_own_part(a, b, parts, value):
+    # summands that admit only zero maps are parts like any other, so each
+    # adds its own {0} wherever it stands in the sum
     got, trace = W(a, b)
     assert value_text(got) == value
     assert (trace[0].rule, trace[0].after) == ("R4", parts)
@@ -470,6 +471,17 @@ def test_cx_classification_uses_reconstruction():
     assert "reconstructed" in v.certificate
     v = classify(parse_algebra("CX(p)"), parse_algebra("CX(a,b)"))
     assert v.verdict == "NotIsomorphic"
+
+
+def test_cx_classification_past_the_point_limit_is_undecided():
+    # reconstruction enumerates 3^k tokens, so it is not even started
+    ten, eleven = (parse_algebra("CX(" + ",".join(f"p{i}" for i in range(k)) + ")")
+                   for k in (10, 11))
+    assert catalog.CX_POINT_LIMIT == 10
+    for a, b in [(eleven, eleven), (ten, eleven), (eleven, parse_algebra("CX(p)"))]:
+        v = classify(a, b)
+        assert v.verdict == "Undecided"
+        assert v.certificate == "space reconstruction is limited to 10 points, got 11"
 
 
 def test_classification_is_symmetric_on_the_fragment():

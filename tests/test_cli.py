@@ -4,13 +4,14 @@ import io
 import json
 import math
 import tempfile
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuntz.algebra import parse_algebra
-from cuntz.catalog import direct_sum_value, eval_W, value_text
+from cuntz.catalog import ZeroSG, direct_sum_value, eval_W, value_text
 from cuntz.cli import main
 
 SCHEMA = "cuntz/1"
@@ -80,6 +81,13 @@ def test_eval_unknown_exits_2(capsys):
     assert doc["value"]["kind"] == "Unknown"
 
 
+@pytest.mark.parametrize("text,pos", [("M(²)", 2), ("F(2,³)", 4)])
+def test_eval_refuses_a_digit_that_is_not_decimal(text, pos, capsys):
+    assert main(["eval", text, "C"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"unexpected character {text[pos]!r}" in err
+
+
 def test_eval_variant_flags_are_exclusive(capsys):
     assert main(["eval", "--w", "--ww", "C", "C"]) == 1
     assert capsys.readouterr().err.startswith("error:")
@@ -133,6 +141,15 @@ def test_compare_rejects_space_disagreement(tmp_path, capsys):
     nu = write(tmp_path, "nu.json", mf_doc([("p", 1)]))
     assert main(["compare", other_space, nu, nu]) == 1
     assert "disagree" in capsys.readouterr().err
+
+
+def test_compare_refuses_points_that_are_not_a_list_of_strings(tmp_path, capsys):
+    # "pq" is one string, not the two points p and q
+    pq = {"kind": "discrete", "points": "pq"}
+    space = write(tmp_path, "space.json", {"schema": SCHEMA, **pq})
+    nu = write(tmp_path, "nu.json", {**mf_doc([("p", 1)]), "space": pq})
+    assert main(["compare", space, nu, nu]) == 1
+    assert "points must be a list of strings" in capsys.readouterr().err
 
 
 def test_compare_missing_file(tmp_path, space_file, capsys):
@@ -278,6 +295,18 @@ def test_oz_rejects_malformed_map(tmp_path, capsys):
     bad = write(tmp_path, "bad.json", doc)
     assert main(["oz", "check", bad]) == 1
     assert "invalid map document" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("target_dim", 1.5), ("target_dim", True), ("mult", [1.9]), ("domain", [1.2])],
+)
+def test_oz_map_sizes_must_be_json_integers(tmp_path, phi_file, capsys, field, value):
+    # int() would truncate these to sizes that fit the blocks
+    doc = {**diag_map_doc(3, ["1"]), field: value}
+    bad = write(tmp_path, "bad.json", doc)
+    assert main(["oz", "compare", bad, phi_file]) == 1
+    assert f"{field} must be a JSON integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("entry", [float("inf"), float("nan")])
@@ -532,6 +561,24 @@ LEAVES = [
 SSA_TEXT = ["Z", "CAR", "Q", "O2", "Oinf", "UHF(3:inf)"]
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(LEAVES), min_size=2, max_size=4), st.sampled_from(LEAVES))
+def test_every_order_of_a_sum_has_one_value(summands, target):
+    # R4 makes every summand its own part, so the value of a flat sum is the
+    # direct sum of the values of its summands, whatever their order
+    def value(a):
+        return eval_W(parse_algebra(a), parse_algebra(target))[0]
+
+    singles = [value(s) for s in summands]
+    texts = {value_text(value(" (+) ".join(p))) for p in set(permutations(summands))}
+    assert len(texts) == 1
+    got = texts.pop()
+    # R6-zero reads {0} off a sum whose summands all admit only zero maps
+    # before R4 can split it
+    if got != value_text(direct_sum_value(singles)):
+        assert got == "{0}" and all(v == ZeroSG() for v in singles)
+
+
 @st.composite
 def trees(draw, depth):
     # Binary trees: both operands of a chain may be compound.
@@ -569,7 +616,7 @@ EXPRESSIONS = st.one_of(
     st.lists(trees(2), min_size=1, max_size=100).map(" (x) ".join),
     st.lists(
         st.sampled_from(["C", "M", "UHF", "stab", "Z", "(", ")", "(x)", "(+)", ",", ":", "2",
-                         "inf", "0", "#", " "]),
+                         "inf", "0", "#", " ", "²"]),
         max_size=30,
     ).map("".join),
 )

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,10 +22,8 @@ from cuntz.multiplicity import (
     mf_sup_sequence,
     mf_to_json,
     opaque_fragment,
-    recover_from_functions,
     space_from_json,
     space_to_json,
-    unit_fragment,
 )
 
 X3 = Space.discrete(("p", "q", "r"))
@@ -259,6 +258,23 @@ def test_sup_sequence_fills_the_essential_set():
 # ---------------------------------------------------------------------------
 # Space reconstruction.
 
+def unit_fragment(space):
+    """All {0,1,inf}-valued multiplicity functions on a finite discrete
+    space, the i-th one from the i-th state of product((0, 1, 2)), as the
+    seedless opaque_fragment numbers its tokens."""
+    values = (None, ExtNat(1), INF)
+    return [
+        mf(space, {p: values[s] for p, s in zip(space.points, states) if s})
+        for states in product((0, 1, 2), repeat=len(space.points))
+    ]
+
+
+def recover_from_functions(fragment):
+    """Run the reconstruction against actual multiplicity-function values."""
+    index = {f: f for f in fragment}
+    return mf_recover_space(fragment, lambda a, b: index.get(mf_add(a, b)), mf_leq)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_recover_from_actual_functions(k):
     space = Space.discrete(tuple(f"t{i}" for i in range(k)))
@@ -269,6 +285,22 @@ def test_recover_from_actual_functions(k):
     assert len(rec.closed_sets) == 2**k
     sizes = sorted(len(s) for s in rec.closed_sets)
     assert sizes == sorted(bin(m).count("1") for m in range(2**k))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_bitmask_oracles_agree_with_multiplicity_functions(k):
+    # the multiplicity functions are the slow, obvious oracle for the
+    # bitmask fragment that classification reconstructs from
+    fragment = unit_fragment(Space.discrete(tuple(f"t{i}" for i in range(k))))
+    tokens, add, leq = opaque_fragment(k)
+    assert tokens == list(range(len(fragment)))
+    for a, b in product(tokens, repeat=2):
+        assert leq(a, b) == mf_leq(fragment[a], fragment[b])
+        total, s = mf_add(fragment[a], fragment[b]), add(a, b)
+        # the sum leaves the fragment exactly where it has a value 2
+        assert (s is None) == any(v == ExtNat(2) for _, v in total.atoms)
+        if s is not None:
+            assert fragment[s] == total
 
 
 @pytest.mark.parametrize("k,seed", [(1, 0), (2, 7), (3, 42), (4, 3), (5, 11)])
@@ -289,6 +321,49 @@ def test_recover_rejects_corrupted_oracles():
         mf_recover_space(tokens[:-1], add, leq)
     with pytest.raises(FragmentInconsistent):
         mf_recover_space([], add, leq)
+
+
+def _corrupt(add=None, leq=None, tokens=None):
+    """The seedless two-point fragment with some of its oracles replaced.
+    Its tokens are 0 = (0,0), 1 = (0,1), 2 = (0,inf), 3 = (1,0), 4 = (1,1),
+    5 = (1,inf), 6 = (inf,0), 7 = (inf,1) and 8 = (inf,inf)."""
+    good_tokens, good_add, good_leq = opaque_fragment(2)
+    return (
+        good_tokens if tokens is None else tokens(good_tokens),
+        good_add if add is None else lambda a, b: add(good_add, a, b),
+        good_leq if leq is None else lambda a, b: leq(good_leq, a, b),
+    )
+
+
+@pytest.mark.parametrize(
+    "oracles,message",
+    [
+        (_corrupt(leq=lambda leq, a, b: a == b), "no least element"),
+        (_corrupt(add=lambda add, a, b: None), "the least element is not neutral"),
+        # without (0,1), the minimal idempotent (0,inf) dominates only 0
+        (_corrupt(tokens=lambda ts: [t for t in ts if t != 1]),
+         "a minimal idempotent dominates 2 elements, expected 3"),
+        # (0,inf) <= (0,1) as well: the chain under (0,inf) is not strict
+        (_corrupt(leq=lambda leq, a, b: leq(a, b) or (a, b) == (2, 1)),
+         "broken chain under a minimal idempotent"),
+        # (1,0) <= (0,1): the point candidate (0,1) is not minimal
+        (_corrupt(leq=lambda leq, a, b: leq(a, b) or (a, b) == (3, 1)),
+         "a point candidate is not minimal"),
+        (_corrupt(tokens=lambda ts: ts + [4]), "fragment size 10 does not match 2 points"),
+        # (1,inf) + (1,inf) = (1,inf): five idempotents
+        (_corrupt(add=lambda add, a, b: a if (a, b) == (5, 5) else add(a, b)),
+         "5 idempotents cannot form a power set on 2 points"),
+        # (0,inf) absorbs (1,0): it has the closed set of (inf,inf)
+        (_corrupt(add=lambda add, a, b: a if (a, b) == (2, 3) else add(a, b)),
+         "absorption tests do not separate the idempotents"),
+    ],
+    ids=["least", "neutral", "dominated", "chain", "minimal", "size", "power-set",
+         "absorption"],
+)
+def test_each_law_of_the_fragment_is_checked(oracles, message):
+    with pytest.raises(FragmentInconsistent) as err:
+        mf_recover_space(*oracles)
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -718,6 +718,33 @@ def test_direct_sum_hat_adds_profiles():
     assert nu.value_at("x2") == ExtNat(1)
 
 
+def _psd_pair(phi_mode, psi_mode):
+    # the same spectra in both modes: {3/4, 1/4} and {1/2} for phi,
+    # {1, 0} and nothing for psi
+    if phi_mode == "diag":
+        phi = diag_map(findim(1, 1), 4, (F(3, 4), F(1, 4)), (F(1, 2),))
+    else:
+        phi = oz_new(findim(1, 1), 4, [2, 1],
+                     [np.array([[0.5, 0.25], [0.25, 0.5]]), np.array([[0.5]])], "psd")
+    if psi_mode == "diag":
+        psi = diag_map(findim(1, 1), 3, (F(1), F(0)), ())
+    else:
+        psi = oz_new(findim(1, 1), 3, [2, 0],
+                     [np.array([[0.5, 0.5], [0.5, 0.5]]), np.zeros((0, 0))], "psd")
+    return phi, psi
+
+
+@pytest.mark.parametrize("modes", [("psd", "psd"), ("diag", "psd"), ("psd", "diag")])
+def test_direct_sum_hat_with_a_psd_map_adds_ranks_and_spectra(modes):
+    phi, psi = _psd_pair(*modes)
+    both = oz_direct_sum_hat(phi, psi)
+    assert (both.mode, both.target_dim) == ("psd", 7)
+    assert both.ranks == (3, 1) == tuple(a + b for a, b in zip(phi.ranks, psi.ranks))
+    x = [np.array([[2.0]]), np.array([[-1.0]])]
+    union = np.concatenate([np.linalg.eigvalsh(phi.apply(x)), np.linalg.eigvalsh(psi.apply(x))])
+    assert np.allclose(np.linalg.eigvalsh(both.apply(x)), np.sort(union))
+
+
 def test_split_and_join_are_inverse():
     phi = diag_map(findim(1, 2, 1), 9, (F(1),), (F(1, 2), F(1, 4)), (F(1),))
     left, right = oz_split_direct_sum(phi, 1)

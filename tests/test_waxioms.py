@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from cuntz.extnat import INF, ExtNat
+from cuntz.extnat import INF, ExtNat, way_below
 from cuntz.waxioms import (
     Fragment,
     FragmentNotClosed,
@@ -60,6 +60,30 @@ def test_overflow_to_inf_fails_o3():
     bad = failures(check_wo_axioms(broken))
     assert [c.axiom for c in bad] == ["O3"]
     assert bad[0].witness is not None
+
+
+@pytest.mark.parametrize(
+    "fault,axiom,witness",
+    [
+        # 1 and 2 are incomparable, and both are way below 2
+        ({"leq": lambda x, y: x == y or x == ExtNat(0)}, "O1",
+         "lower set of 2 not directed at (1, 2)"),
+        # nothing is aux-below 0 under the strict order
+        ({"aux": lambda x, y: x < y}, "O1",
+         "lower set of 0 has no aux-compact greatest element"),
+        ({"sup": lambda values: INF}, "O2", "sup of lower set of 0 returned inf"),
+        # under the order that makes everything equal, 0 bounds every set
+        ({"leq": lambda x, y: True, "sup": lambda values: ExtNat(0)}, "O2",
+         "1 is aux-compact but sup of its lower set is 0"),
+        # 1 is not compact: only 0 is aux-below it, but 1 is aux-below 1+1
+        ({"aux": lambda x, y: way_below(x, y) and not x == y == ExtNat(1)}, "O4",
+         "1 aux-below 1+1 but no dominating split sum"),
+    ],
+    ids=["O1-directed", "O1-compact", "O2-bound", "O2-compact", "O4"],
+)
+def test_each_object_axiom_names_its_first_counterexample(fault, axiom, witness):
+    checks = check_wo_axioms(dataclasses.replace(extnat_fragment(2), **fault))
+    assert [c.witness for c in checks if c.axiom == axiom] == [witness]
 
 
 def test_unclosed_fragment_raises():
