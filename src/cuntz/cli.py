@@ -73,33 +73,12 @@ def _load_doc(path: str) -> dict:
 
 
 def _load_map(path: str):
-    from .orderzero import (
-        DimensionMismatch,
-        DomainMismatch,
-        NonCommutativeDomain,
-        NormExceedsOne,
-        NotDominated,
-        NotPositive,
-        ShapeMismatch,
-        oz_from_json,
-    )
+    from .orderzero import OrderZeroError, oz_from_json
 
     payload = _load_doc(path)
     try:
         return oz_from_json(payload)
-    except (
-        DimensionMismatch,
-        NotPositive,
-        NormExceedsOne,
-        ShapeMismatch,
-        DomainMismatch,
-        NonCommutativeDomain,
-        NotDominated,
-        ValueError,
-        KeyError,
-        TypeError,
-        ArithmeticError,
-    ) as exc:
+    except (OrderZeroError, ValueError, KeyError, TypeError, ArithmeticError) as exc:
         raise CliInputError(f"{path}: invalid map document: {exc}") from None
 
 
@@ -121,6 +100,16 @@ def _positive_tol(value: str) -> float:
     if not 0 < tol < math.inf:
         raise argparse.ArgumentTypeError("tolerance must be > 0 and finite")
     return tol
+
+
+def _trial_count(value: str) -> int:
+    try:
+        trials = int(value)
+    except ValueError:  # argparse's own message for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if trials < 0:
+        raise argparse.ArgumentTypeError("trials must be >= 0")
+    return trials
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +176,12 @@ def cmd_classify(args) -> int:
 
 
 def cmd_oz_check(args) -> int:
-    from .orderzero import DimensionMismatch, oz_check_order_zero
+    from .orderzero import OrderZeroError, oz_check_order_zero
 
     phi = _load_map(args.phi)
     try:
         report = oz_check_order_zero(phi, trials=args.trials, seed=args.seed, tol=args.tol)
-    except DimensionMismatch as exc:
+    except OrderZeroError as exc:
         raise CliInputError(str(exc)) from None
     doc = {
         "schema": SCHEMA,
@@ -214,7 +203,7 @@ def cmd_oz_check(args) -> int:
 
 
 def cmd_oz_eps(args) -> int:
-    from .orderzero import NotPositive, oz_eps_cut, oz_to_json
+    from .orderzero import OrderZeroError, oz_eps_cut, oz_to_json
 
     phi = _load_map(args.phi)
     try:
@@ -222,7 +211,7 @@ def cmd_oz_eps(args) -> int:
         if eps < 0:
             raise ValueError("eps must be >= 0")
         cut = oz_eps_cut(phi, eps)
-    except (ValueError, ZeroDivisionError, NotPositive) as exc:
+    except (ValueError, ZeroDivisionError, OrderZeroError) as exc:
         raise CliInputError(f"invalid eps: {exc}") from None
     doc = {"schema": SCHEMA, **oz_to_json(cut)}
     lines = [json.dumps(doc, sort_keys=True, indent=2)]
@@ -233,8 +222,7 @@ def cmd_oz_eps(args) -> int:
 def cmd_oz_compare(args) -> int:
     from .multiplicity import SpaceMismatch
     from .orderzero import (
-        DimensionMismatch,
-        NonCommutativeDomain,
+        OrderZeroError,
         comparison_certificate,
         oz_construct_witness,
         oz_cuntz_leq_commutative,
@@ -246,7 +234,7 @@ def cmd_oz_compare(args) -> int:
         below = oz_cuntz_leq_commutative(phi, psi)
         above = oz_cuntz_leq_commutative(psi, phi)
         report = oz_construct_witness(phi, psi, tol=args.tol) if below else None
-    except (DimensionMismatch, NonCommutativeDomain, SpaceMismatch) as exc:
+    except (OrderZeroError, SpaceMismatch) as exc:
         raise CliInputError(str(exc)) from None
     verdict = _VERDICTS[(below, above)]
     doc = {"schema": SCHEMA, "verdict": verdict}
@@ -272,12 +260,7 @@ def cmd_oz_compare(args) -> int:
 
 def cmd_oz_witness(args) -> int:
     from .multiplicity import SpaceMismatch
-    from .orderzero import (
-        DimensionMismatch,
-        NonCommutativeDomain,
-        PreconditionViolated,
-        oz_construct_witness,
-    )
+    from .orderzero import OrderZeroError, PreconditionViolated, oz_construct_witness
 
     phi = _load_map(args.phi)
     psi = _load_map(args.psi)
@@ -290,7 +273,7 @@ def cmd_oz_witness(args) -> int:
             args.format,
         )
         return 4
-    except (DimensionMismatch, NonCommutativeDomain, SpaceMismatch) as exc:
+    except (OrderZeroError, SpaceMismatch) as exc:
         raise CliInputError(str(exc)) from None
     doc = {
         "schema": SCHEMA,
@@ -405,7 +388,7 @@ def build_parser() -> _Parser:
 
     q = ozsub.add_parser("check", help="probe the order zero identity")
     q.add_argument("phi")
-    q.add_argument("--trials", type=int, default=50)
+    q.add_argument("--trials", type=_trial_count, default=50)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--tol", type=_positive_tol, default=1e-9)
     _add_format(q)

@@ -1,19 +1,13 @@
-"""Saturating arithmetic on the extended natural numbers, plus the
-compact/soft value monoid used for self-pairings of the CAR algebra.
+"""Saturating arithmetic on the extended natural numbers.
 
 ``ExtNat`` models N0 together with an absorbing infinite element.  The
 infinite element is a distinct tag, never a sentinel integer, so ``ExtNat(10**9)``
-and ``INF`` are unrelated values.  ``CarValue`` models the disjoint union
-of the non-negative dyadic rationals (compact classes) and the strictly
-positive rationals (soft classes); addition lands in the soft part as soon
-as one summand is soft.
+and ``INF`` are unrelated values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 
 class ExtNat:
@@ -120,17 +114,6 @@ INF = ExtNat.infinity()
 ZERO = ExtNat(0)
 
 
-def extnat_sup(values: Iterable[ExtNat]) -> ExtNat:
-    """Supremum of a non-empty finite family; the order is total."""
-    out = None
-    for v in values:
-        if out is None or out < v:
-            out = v
-    if out is None:
-        raise ValueError("supremum of an empty family")
-    return out
-
-
 def way_below(x: ExtNat, y: ExtNat) -> bool:
     """The way-below relation x ≪ y on ExtNat.
 
@@ -140,101 +123,3 @@ def way_below(x: ExtNat, y: ExtNat) -> bool:
     if y.is_finite:
         return x <= y
     return x.is_finite
-
-
-@dataclass(frozen=True)
-class Dyadic:
-    """A non-negative dyadic rational num / 2**exp in lowest terms."""
-
-    num: int
-    exp: int
-
-    def __post_init__(self):
-        if self.num < 0 or self.exp < 0:
-            raise ValueError(f"invalid dyadic {self.num}/2^{self.exp}")
-        if self.exp > 0 and self.num % 2 == 0:
-            raise ValueError(f"dyadic {self.num}/2^{self.exp} is not in lowest terms")
-
-    @classmethod
-    def from_fraction(cls, q: Fraction) -> "Dyadic":
-        q = Fraction(q)
-        if q < 0:
-            raise ValueError(f"dyadic values are non-negative, got {q}")
-        d = q.denominator
-        if d & (d - 1):
-            raise ValueError(f"{q} is not dyadic: denominator is not a power of two")
-        return cls(q.numerator, d.bit_length() - 1)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, 1 << self.exp)
-
-    def __add__(self, other: "Dyadic") -> "Dyadic":
-        return Dyadic.from_fraction(self.as_fraction() + other.as_fraction())
-
-    def __le__(self, other: "Dyadic") -> bool:
-        return self.as_fraction() <= other.as_fraction()
-
-    def __str__(self) -> str:
-        return str(self.as_fraction())
-
-
-_COMPACT = "compact"
-_SOFT = "soft"
-
-
-@dataclass(frozen=True)
-class CarValue:
-    """A class in the self-pairing monoid of the CAR algebra.
-
-    Compact classes carry a dyadic rational >= 0 (dimensions of projections
-    over the 2^inf UHF dimension group), soft classes a rational > 0.
-    Adding a soft class to anything yields a soft class on the sum.
-    """
-
-    tag: str
-    value: Fraction
-
-    @classmethod
-    def compact(cls, q) -> "CarValue":
-        d = Dyadic.from_fraction(Fraction(q))  # validates dyadicity and sign
-        return cls(_COMPACT, d.as_fraction())
-
-    @classmethod
-    def soft(cls, q) -> "CarValue":
-        q = Fraction(q)
-        if q <= 0:
-            raise ValueError(f"soft values are strictly positive, got {q}")
-        return cls(_SOFT, q)
-
-    @property
-    def is_compact(self) -> bool:
-        return self.tag == _COMPACT
-
-    @property
-    def dyadic(self) -> Dyadic:
-        if not self.is_compact:
-            raise ValueError("soft classes have no dyadic representative")
-        return Dyadic.from_fraction(self.value)
-
-    def __add__(self, other: "CarValue") -> "CarValue":
-        if not isinstance(other, CarValue):
-            return NotImplemented
-        total = self.value + other.value
-        if self.is_compact and other.is_compact:
-            return CarValue.compact(total)
-        return CarValue.soft(total)
-
-    def __str__(self) -> str:
-        return f"{self.tag}:{self.value}"
-
-
-def car_leq(x: CarValue, y: CarValue) -> bool:
-    """Order on CarValue: soft classes sit strictly below the compact class
-    of equal size, so compact d <= soft t requires d < t."""
-    if x.is_compact and y.is_compact:
-        return x.value <= y.value
-    if not x.is_compact and not y.is_compact:
-        return x.value <= y.value
-    if x.is_compact:
-        return x.value < y.value
-    return x.value <= y.value

@@ -293,10 +293,6 @@ def mf_leq(nu: MultiplicityFunction, mu: MultiplicityFunction) -> bool:
     return True
 
 
-def mf_equal(nu: MultiplicityFunction, mu: MultiplicityFunction) -> bool:
-    return mf_leq(nu, mu) and mf_leq(mu, nu)
-
-
 def mf_omega(closed: ClosedSet) -> MultiplicityFunction:
     """The idempotent carried by a closed set: value inf exactly there.
 

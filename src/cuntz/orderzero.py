@@ -42,39 +42,43 @@ EIG_CUTOFF = 1e-10
 NORM_TOL = 1e-12
 
 
-class DimensionMismatch(Exception):
+class OrderZeroError(Exception):
+    """Base of every error the order-zero laboratory raises."""
+
+
+class DimensionMismatch(OrderZeroError):
     """Block data does not fit the declared dimensions."""
 
 
-class NotPositive(Exception):
+class NotPositive(OrderZeroError):
     """A matrix that must be positive semidefinite is not."""
 
 
-class NormExceedsOne(Exception):
+class NormExceedsOne(OrderZeroError):
     """A contraction was declared but its norm exceeds one."""
 
 
-class NotFinite(ValueError):
+class NotFinite(OrderZeroError, ValueError):
     """A block holds an infinite or NaN entry."""
 
 
-class NonCommutativeDomain(Exception):
+class NonCommutativeDomain(OrderZeroError):
     """The operation needs a commutative domain (all blocks of size 1)."""
 
 
-class ShapeMismatch(Exception):
+class ShapeMismatch(OrderZeroError):
     """A witness matrix has the wrong shape."""
 
 
-class PreconditionViolated(Exception):
+class PreconditionViolated(OrderZeroError):
     """The comparison hypothesis of the construction does not hold."""
 
 
-class NotDominated(Exception):
+class NotDominated(OrderZeroError):
     """Handelman's construction needs a <= b."""
 
 
-class DomainMismatch(Exception):
+class DomainMismatch(OrderZeroError):
     """The maps do not share the required domain or target."""
 
 
@@ -264,20 +268,6 @@ def oz_new(
                 else f"block {i} has eigenvalue {high}"
             )
     return phi
-
-
-def generators(domain: FinDimAlgebra) -> List[List[np.ndarray]]:
-    """Matrix units of every block; they span the domain linearly."""
-    gens = []
-    for i, n in enumerate(domain.blocks):
-        for r in range(n):
-            for s in range(n):
-                unit = np.zeros((n, n))
-                unit[r, s] = 1.0
-                elem = [np.zeros((k, k)) for k in domain.blocks]
-                elem[i] = unit
-                gens.append(elem)
-    return gens
 
 
 @dataclass
@@ -565,78 +555,6 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
 
 
-def oz_direct_sum_hat(phi: OrderZeroMap, psi: OrderZeroMap) -> OrderZeroMap:
-    """The sum representative phi (+) psi on the shared domain."""
-    if phi.domain != psi.domain:
-        raise DomainMismatch("the hat direct sum needs equal domains")
-    mults = tuple(m1 + m2 for m1, m2 in zip(phi.mults, psi.mults))
-    if phi.mode == DIAG and psi.mode == DIAG:
-        blocks = tuple(h1 + h2 for h1, h2 in zip(phi.blocks, psi.blocks))
-        mode = DIAG
-    else:
-        blocks = []
-        for i in range(len(phi.mults)):
-            h1, h2 = phi.block_dense(i), psi.block_dense(i)
-            out = np.zeros((mults[i], mults[i]))
-            out[: h1.shape[0], : h1.shape[0]] = h1
-            out[h1.shape[0] :, h1.shape[0] :] = h2
-            blocks.append(out)
-        blocks = tuple(blocks)
-        mode = PSD
-    return OrderZeroMap(
-        phi.domain, phi.target_dim + psi.target_dim, mults, blocks, mode
-    )
-
-
-def oz_split_direct_sum(
-    phi: OrderZeroMap, k: int
-) -> Tuple[OrderZeroMap, OrderZeroMap]:
-    """Restrict to the first k domain summands and to the rest.
-
-    Both restrictions keep the full target; rejoining them with
-    ``oz_join_direct_sum`` reproduces the original representation.
-    """
-    nblocks = len(phi.domain.blocks)
-    if not 1 <= k < nblocks:
-        raise DomainMismatch(f"split index {k} must cut {nblocks} summands in two")
-    left = OrderZeroMap(
-        FinDimAlgebra(phi.domain.blocks[:k]),
-        phi.target_dim,
-        phi.mults[:k],
-        phi.blocks[:k],
-        phi.mode,
-    )
-    right = OrderZeroMap(
-        FinDimAlgebra(phi.domain.blocks[k:]),
-        phi.target_dim,
-        phi.mults[k:],
-        phi.blocks[k:],
-        phi.mode,
-    )
-    return left, right
-
-
-def oz_join_direct_sum(phi: OrderZeroMap, psi: OrderZeroMap) -> OrderZeroMap:
-    """Reassemble a map on a direct-sum domain from its two restrictions."""
-    if phi.target_dim != psi.target_dim:
-        raise DomainMismatch("the restrictions must share the target")
-    if phi.mode != psi.mode:
-        raise DomainMismatch("the restrictions must share the numeric mode")
-    domain = FinDimAlgebra(phi.domain.blocks + psi.domain.blocks)
-    used = sum(
-        m * n for m, n in zip(phi.mults + psi.mults, domain.blocks)
-    )
-    if used > phi.target_dim:
-        raise DimensionMismatch("the joined blocks exceed the target dimension")
-    return OrderZeroMap(
-        domain,
-        phi.target_dim,
-        phi.mults + psi.mults,
-        phi.blocks + psi.blocks,
-        phi.mode,
-    )
-
-
 def oz_kronecker_rank(phi: OrderZeroMap, psi: OrderZeroMap) -> ExtNat:
     """Rank of the composition representative for scalar-domain maps."""
     if phi.domain != SCALARS or psi.domain != SCALARS:
@@ -691,7 +609,7 @@ def _generator_images(
 
 
 def _images(phi: OrderZeroMap) -> np.ndarray:
-    """phi(g) for every matrix unit g, in the order of ``generators``.
+    """phi(g) for every matrix unit g: block by block, then row by row.
 
     The image of the unit E_rc of block i is H_i (x) E_rc: H_i itself on the
     rows off+r, off+r+n, ... and the columns off+c, off+c+n, ... of the

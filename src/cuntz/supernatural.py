@@ -133,15 +133,6 @@ def sn_mul(a: Supernatural, b: Supernatural) -> Supernatural:
     return Supernatural(tuple(sorted(merged.items())))
 
 
-def sn_divides(a: Supernatural, b: Supernatural) -> bool:
-    """a divides b iff every exponent of a is dominated by b's."""
-    if b.universal:
-        return True
-    if a.universal:
-        return False
-    return all(e <= b.exponent(p) for p, e in a.exponents)
-
-
 def sn_is_infinite_type(a: Supernatural) -> bool:
     """Infinite type: every occurring exponent is infinite.
 

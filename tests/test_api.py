@@ -1,10 +1,12 @@
 """The package surface: the text and JSON forms of every value, expression
 and query variant, and the layering of the submodules."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -259,3 +261,46 @@ def test_each_subcommand_loads_only_its_own_layer(tmp_path, argv, absent):
     )
     assert json.loads(out.stdout.splitlines()[-1]) == [0, []]
 
+
+# Every public top-level name of the package must have a caller: a use as a
+# Name or Attribute outside its own definition, in the package, the
+# benchmark or the acceptance criteria.  The unit tests alone keep no name
+# alive, and docstrings and comments are not uses.
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _loads(node):
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def _public_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if not name.startswith("_"):
+                yield name, node
+
+
+def test_every_public_name_has_a_caller():
+    package = sorted((ROOT / "src" / "cuntz").glob("*.py"))
+    callers = package + sorted((ROOT / "perfbench").glob("*.py"))
+    callers.append(ROOT / "tests" / "test_acceptance.py")
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in callers}
+    loads = sum((_loads(tree) for tree in trees.values()), Counter())
+    unused = [
+        f"{path.stem}.{name}"
+        for path in package
+        for name, node in _public_definitions(trees[path])
+        if loads[name] == _loads(node)[name]
+    ]
+    assert unused == []

@@ -24,7 +24,6 @@ from cuntz.catalog import (
     direct_sum_value,
     eval_W,
     eval_WW,
-    eval_cuntz_homology,
     has_unknown,
     query_text,
     scale_membership_note,
@@ -33,7 +32,7 @@ from cuntz.catalog import (
 )
 from cuntz.cli import main
 from cuntz.extnat import ExtNat, INF
-from cuntz.multiplicity import Space, SpaceMismatch, mf
+from cuntz.multiplicity import Space, SpaceMismatch, mf, mf_recover_space, opaque_fragment
 
 
 def W(a, b):
@@ -405,15 +404,13 @@ def test_ideal_lattice_ordering_of_elements():
 # Cuntz homology and the composition product.
 
 def test_homology_variants():
+    # WW(C(X), C) is every multiplicity function, W(C(X), C) the finitely
+    # supported ones; both in one R6-homology step
     x = Space.discrete(("p", "q"))
-    assert eval_cuntz_homology(x, "WW") == MfSG(x)
-    assert eval_cuntz_homology(x, "W") == MfiSG(x)
-    i = Space.interval()
-    assert eval_cuntz_homology(i, "WW") == MfSG(i)
-    with pytest.raises(ValueError):
-        eval_cuntz_homology(i, "W")
-    with pytest.raises(ValueError):
-        eval_cuntz_homology(x, "Wi")
+    for evaluate, expected in [(WW, MfSG(x)), (W, MfiSG(x))]:
+        value, trace = evaluate("CX(p,q)", "C")
+        assert value == expected
+        assert [step.rule for step in trace] == ["R6-homology"]
 
 
 def test_compose_product_values():
@@ -473,15 +470,32 @@ def test_cx_classification_uses_reconstruction():
     assert v.verdict == "NotIsomorphic"
 
 
-def test_cx_classification_past_the_point_limit_is_undecided():
-    # reconstruction enumerates 3^k tokens, so it is not even started
-    ten, eleven = (parse_algebra("CX(" + ",".join(f"p{i}" for i in range(k)) + ")")
-                   for k in (10, 11))
-    assert catalog.CX_POINT_LIMIT == 10
-    for a, b in [(eleven, eleven), (ten, eleven), (eleven, parse_algebra("CX(p)"))]:
-        v = classify(a, b)
-        assert v.verdict == "Undecided"
-        assert v.certificate == "space reconstruction is limited to 10 points, got 11"
+def cx(k, label="p"):
+    return parse_algebra("CX(" + ",".join(f"{label}{i}" for i in range(k)) + ")")
+
+
+def test_cx_classification_agrees_with_reconstruction():
+    # the reconstruction of the {0,1,inf} fragment is the oracle for k <= 8
+    recovered = {k: mf_recover_space(*opaque_fragment(k, seed=k)) for k in range(1, 9)}
+    for k, m in product(range(1, 9), repeat=2):
+        a, b = recovered[k], recovered[m]
+        if a.point_count == b.point_count:
+            expected = ("Isomorphic", "reconstructed spaces are homeomorphic: "
+                        f"{a.point_count} points, closed-set lattices of size "
+                        f"{len(a.closed_sets)} coincide")
+        else:
+            expected = ("NotIsomorphic", "minimal-element counts differ in the "
+                        f"reconstructed monoids: {a.point_count} != {b.point_count}")
+        v = classify(cx(k), cx(m, "q"))
+        assert (v.verdict, v.certificate) == expected
+
+
+def test_cx_classification_is_decided_past_ten_points():
+    for k in (11, 40, 1000):
+        assert classify(cx(k), cx(k, "q")).verdict == "Isomorphic"
+        assert classify(cx(k), cx(k + 1, "q")).verdict == "NotIsomorphic"
+    v = classify(cx(1000), cx(1000, "q"))
+    assert v.certificate.endswith("closed-set lattices of size 2^1000 coincide")
 
 
 def test_classification_is_symmetric_on_the_fragment():

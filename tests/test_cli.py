@@ -221,6 +221,18 @@ def test_oz_check_on_one_point_is_vacuous(phi_file, tmp_path, capsys):
     assert capsys.readouterr().out.startswith("order zero check: pass (")
 
 
+def test_oz_check_rejects_negative_trials(phi_file, capsys):
+    for trials, code, err in [
+        ("-5", 1, "error: argument --trials: trials must be >= 0\n"),
+        ("-1", 1, "error: argument --trials: trials must be >= 0\n"),
+        ("x", 1, "error: argument --trials: invalid int value: 'x'\n"),
+        ("0", 0, ""),
+    ]:
+        assert main(["oz", "check", phi_file, "--trials", trials]) == code
+        out = "order zero check: vacuous (0 trials)\n" if code == 0 else ""
+        assert capsys.readouterr() == (out, err)
+
+
 def test_oz_check_rejects_bad_tol(phi_file, capsys):
     assert main(["oz", "check", phi_file, "--tol", "0"]) == 1
     assert "tolerance must be > 0" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -21,21 +22,17 @@ from cuntz.orderzero import (
     ShapeMismatch,
     comparison_certificate,
     findim,
-    generators,
     op_norm,
     oz_check_order_zero,
     oz_construct_witness,
     oz_cuntz_leq_commutative,
-    oz_direct_sum_hat,
     oz_eps_cut,
     oz_eps_rank_inequality,
     oz_from_json,
     oz_handelman,
-    oz_join_direct_sum,
     oz_kronecker_rank,
     oz_multiplicity,
     oz_new,
-    oz_split_direct_sum,
     oz_to_json,
     oz_verify_witness,
     oz_witness_search,
@@ -46,6 +43,34 @@ F = Fraction
 
 def diag_map(domain, target_dim, *diags):
     return oz_new(domain, target_dim, [len(d) for d in diags], list(diags), "diag")
+
+
+def generators(domain):
+    """Matrix units of every block, block by block and row by row; they span
+    the domain linearly."""
+    gens = []
+    for i, n in enumerate(domain.blocks):
+        for r, c in product(range(n), repeat=2):
+            elem = [np.zeros((k, k)) for k in domain.blocks]
+            elem[i][r, c] = 1.0
+            gens.append(elem)
+    return gens
+
+
+def direct_sum(phi, psi):
+    """phi (+) psi on their shared domain: block i is H_i (+) K_i, and the
+    targets add.  Diagonal when both maps are."""
+    mults = [a + b for a, b in zip(phi.mults, psi.mults)]
+    if phi.mode == psi.mode == "diag":
+        return oz_new(phi.domain, phi.target_dim + psi.target_dim, mults,
+                      [h + k for h, k in zip(phi.blocks, psi.blocks)], "diag")
+    blocks = []
+    for i, m in enumerate(mults):
+        h, k = phi.block_dense(i), psi.block_dense(i)
+        out = np.zeros((m, m))
+        out[: len(h), : len(h)], out[len(h) :, len(h) :] = h, k
+        blocks.append(out)
+    return oz_new(phi.domain, phi.target_dim + psi.target_dim, mults, blocks, "psd")
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +317,8 @@ def test_derived_maps_carry_their_own_profile():
     assert cut.ranks == (2, 0, 1) == recount(cut)[0]
     assert cut.multiplicity == recount(cut)[1] != nu
     assert phi.ranks == (2, 1, 3) and phi.multiplicity is nu
-    both = oz_direct_sum_hat(phi, cut)
+    both = direct_sum(phi, cut)
     assert both.ranks == (4, 1, 4) and both.multiplicity == recount(both)[1]
-    left, right = oz_split_direct_sum(phi, 1)
-    assert (left.ranks, right.ranks) == ((2,), (1, 3))
-    assert left.multiplicity == recount(left)[1] and right.multiplicity == recount(right)[1]
-    joined = oz_join_direct_sum(left, right)
-    assert joined.ranks == phi.ranks
-    assert joined.multiplicity == nu and joined.multiplicity is not nu
     rng = np.random.default_rng(8)
     dense = random_map(rng, "psd", [2, 1, 2], 9)
     dense_cut = oz_eps_cut(dense, float(dense.spectrum[0][0][-1]))
@@ -711,7 +730,7 @@ def test_handelman_deviation_shrinks():
 def test_direct_sum_hat_adds_profiles():
     phi = diag_map(findim(1, 1), 4, (F(1),), (F(1, 2),))
     psi = diag_map(findim(1, 1), 4, (F(1), F(1)), ())
-    both = oz_direct_sum_hat(phi, psi)
+    both = direct_sum(phi, psi)
     assert both.target_dim == 8
     nu = oz_multiplicity(both)
     assert nu.value_at("x1") == ExtNat(3)
@@ -737,27 +756,12 @@ def _psd_pair(phi_mode, psi_mode):
 @pytest.mark.parametrize("modes", [("psd", "psd"), ("diag", "psd"), ("psd", "diag")])
 def test_direct_sum_hat_with_a_psd_map_adds_ranks_and_spectra(modes):
     phi, psi = _psd_pair(*modes)
-    both = oz_direct_sum_hat(phi, psi)
+    both = direct_sum(phi, psi)
     assert (both.mode, both.target_dim) == ("psd", 7)
     assert both.ranks == (3, 1) == tuple(a + b for a, b in zip(phi.ranks, psi.ranks))
     x = [np.array([[2.0]]), np.array([[-1.0]])]
     union = np.concatenate([np.linalg.eigvalsh(phi.apply(x)), np.linalg.eigvalsh(psi.apply(x))])
     assert np.allclose(np.linalg.eigvalsh(both.apply(x)), np.sort(union))
-
-
-def test_split_and_join_are_inverse():
-    phi = diag_map(findim(1, 2, 1), 9, (F(1),), (F(1, 2), F(1, 4)), (F(1),))
-    left, right = oz_split_direct_sum(phi, 1)
-    assert left.domain == findim(1)
-    assert right.domain == findim(2, 1)
-    joined = oz_join_direct_sum(left, right)
-    assert joined.domain == phi.domain
-    assert joined.blocks == phi.blocks
-    assert joined.mults == phi.mults
-    with pytest.raises(DomainMismatch):
-        oz_split_direct_sum(phi, 3)
-    with pytest.raises(DomainMismatch):
-        oz_split_direct_sum(phi, 0)
 
 
 def test_kronecker_rank():
