@@ -115,6 +115,7 @@ SCALARS = findim(1)
 DiagBlock = Tuple[Fraction, ...]
 Block = Union[DiagBlock, np.ndarray]
 Element = Sequence[Union[float, Fraction, Sequence, np.ndarray]]
+Corner = Tuple[slice, slice, np.ndarray]  # rows, columns, block
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,7 +291,8 @@ def oz_check_order_zero(
 
     Accepts any object with ``domain`` and ``apply``; pairs are supported on
     disjoint coordinate sets (inside one block or across two blocks), so
-    their product vanishes in the domain and must vanish in the image.
+    their product vanishes in the domain and must vanish in the image.  Only
+    the nonzero support of the two images is multiplied and normed.
     """
     rng = random.Random(seed)
     sizes = phi.domain.blocks
@@ -322,9 +324,19 @@ def oz_check_order_zero(
             b_blocks[i] = _corner_psd(n, coords[cut:], rng)
         va = phi.apply(a_blocks)
         vb = phi.apply(b_blocks)
-        worst = max(worst, op_norm(va @ vb))
+        worst = max(worst, op_norm(_support_product(va, vb)))
         done += 1
     return OrthogonalityReport(worst <= tol, worst, done, tol)
+
+
+def _support_product(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    """va @ vb on its nonzero support: the inner indices where va's column
+    and vb's row are both nonzero, the rows of va and the columns of vb that
+    are nonzero there.  The product vanishes elsewhere, so the norm is the
+    same; with no shared inner index it is empty."""
+    inner = va.any(axis=0) & vb.any(axis=1)
+    a, b = va[:, inner], vb[inner]
+    return a[a.any(axis=1)] @ b[:, b.any(axis=0)]
 
 
 def _random_psd(n: int, rng: random.Random) -> np.ndarray:
@@ -403,8 +415,8 @@ def oz_verify_witness(
 ) -> WitnessReport:
     """Residual max_g ||b* psi(g) b - phi(g)|| over the matrix-unit generators.
 
-    The residuals of all generators go through the batched kernel of
-    ``oz_witness_search`` and one stacked SVD.
+    The residuals of all generators go through the residual kernel of
+    ``oz_witness_search`` and one stacked exact norm.
     """
     if phi.domain != psi.domain:
         raise DomainMismatch("witness verification needs a common domain")
@@ -415,8 +427,9 @@ def oz_verify_witness(
         )
     if not np.isfinite(b).all():
         raise NotFinite("the witness has a non-finite entry")
-    psi_g, phi_g = _generator_images(phi, psi)
-    residual = float(_op_norms(_residuals(b[None], psi_g, phi_g)).max())
+    corners, phi_g = _generator_images(phi, psi)
+    r = _residuals(b[None], corners, phi_g)
+    residual = float(_op_norms(r, _symmetric(phi, psi)).max())
     return WitnessReport(b, residual, tol)
 
 
@@ -568,75 +581,126 @@ def oz_witness_search(
     """Best residual over random witness candidates; deterministic per seed.
 
     Candidates are dense Gaussian matrices with random scaling, drawn in
-    chunks of 512.  Each chunk goes through one batched residual kernel:
-    r = b^T psi(g) b - phi(g) for every candidate b and generator g by
-    broadcast matrix products.  The largest column 2-norm of r is a lower
-    bound of its operator norm, so a candidate whose bound is not below the
-    running best cannot improve it.  Exact operator norms (stacked SVDs)
-    are taken in ascending order of the bound: the lowest alone, then
-    batches of 16, until the next bound reaches the running best.  The
-    returned minimum is the one an exact norm of every candidate would give.
+    chunks of 512.  A generator g whose corner of psi is zero (multiplicity
+    0, or a block of zeros) has the residual -phi(g) for every candidate:
+    those are normed once, and their largest norm is the floor, below which
+    no candidate can go.  The other generators go through one batched
+    residual kernel, r = B^T C_g B - phi(g), with C_g the corner of psi(g)
+    and B the matching rows of the candidate.  The largest column 2-norm of
+    r, raised to the floor, is a lower bound of a candidate's value, so a
+    candidate whose bound is not below the running best cannot improve it.
+    Exact norms (stacked ``eigvalsh`` where every residual is symmetric,
+    SVDs otherwise) are taken in ascending order of the bound: the lowest
+    alone, then batches of 16, until the next bound reaches the running
+    best.  Once the best is the floor, no further chunk is drawn; when every
+    generator is constant, none is.  The returned minimum is the one an
+    exact norm of every candidate would give.
     """
     rng = np.random.default_rng(seed)
-    psi_g, phi_g = _generator_images(phi, psi)
-    best = float("inf")
+    corners, phi_g = _generator_images(phi, psi)
+    symmetric = _symmetric(phi, psi)
+    constant = [g for g, (_, _, h) in enumerate(corners) if not h.any()]
+    floor = float(_op_norms(phi_g[constant], symmetric).max(initial=0.0))
+    corners = [c for g, c in enumerate(corners) if g not in constant]
+    phi_g = np.delete(phi_g, constant, axis=0)
+    if not corners:
+        return floor if samples > 0 else inf
+    best = inf
     chunk, batch = 512, 16
     left = samples
-    while left > 0:
+    while left > 0 and best > floor:
         s = min(chunk, left)
         left -= s
-        bs = rng.standard_normal((s, psi.target_dim, phi.target_dim))
+        # Drawn into _zeros: psi's images are never built, so this is where
+        # a psi target too large to allocate becomes DimensionMismatch.
+        bs = rng.standard_normal(out=_zeros(s, psi.target_dim, phi.target_dim))
         bs *= rng.uniform(0.05, 2.0, size=(s, 1, 1))
-        r = _residuals(bs, psi_g, phi_g)
-        lower = np.sqrt(np.einsum("sgij,sgij->sgj", r, r).max(axis=(1, 2), initial=0.0))
+        r = _residuals(bs, corners, phi_g)
+        columns = np.einsum("sgij,sgij->sgj", r, r).max(axis=(1, 2), initial=0.0)
+        lower = np.maximum(np.sqrt(columns), floor)
         order = np.argsort(lower)
         start, size = 0, 1
         while start < s and lower[order[start]] < best:
             idx = order[start : start + size]
             idx = idx[lower[idx] < best]
-            best = min(best, float(_op_norms(r[idx]).max(axis=1).min()))
+            value = float(_op_norms(r[idx], symmetric).max(axis=1).min())
+            best = min(best, max(value, floor))
             start, size = start + size, batch
     return best
 
 
 def _generator_images(
     phi: OrderZeroMap, psi: OrderZeroMap
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Stacks psi(g) and phi(g) over the matrix-unit generators g."""
+) -> Tuple[List[Corner], np.ndarray]:
+    """The corners of psi(g) and the stack of phi(g) over the matrix-unit
+    generators g."""
     if phi.domain != psi.domain:
         raise DomainMismatch("the generator images need a common domain")
-    return _images(psi), _images(phi)
+    return _corners(psi), _images(phi)
 
 
-def _images(phi: OrderZeroMap) -> np.ndarray:
-    """phi(g) for every matrix unit g: block by block, then row by row.
+def _corners(phi: OrderZeroMap) -> List[Corner]:
+    """phi(g) for every matrix unit g as (rows, columns, H_i): block by
+    block, then row by row.
 
     The image of the unit E_rc of block i is H_i (x) E_rc: H_i itself on the
     rows off+r, off+r+n, ... and the columns off+c, off+c+n, ... of the
-    block's corner, so each image is one strided write into a zero stack.
+    block's corner, and zero everywhere else.
     """
-    sizes = phi.domain.blocks
-    out = _zeros(sum(n * n for n in sizes), phi.target_dim, phi.target_dim)
-    g = 0
-    for i, (m, n, off) in enumerate(zip(phi.mults, sizes, phi.offsets)):
+    out = []
+    for i, (m, n, off) in enumerate(zip(phi.mults, phi.domain.blocks, phi.offsets)):
         h, end = phi.block_dense(i), off + m * n
-        for r in range(n):
-            for c in range(n):
-                out[g, off + r : end : n, off + c : end : n] = h
-                g += 1
+        out += [
+            (slice(off + r, end, n), slice(off + c, end, n), h)
+            for r in range(n)
+            for c in range(n)
+        ]
     return out
 
 
-def _residuals(bs: np.ndarray, psi_g: np.ndarray, phi_g: np.ndarray) -> np.ndarray:
-    """r[s, g] = bs[s]^T psi_g[g] bs[s] - phi_g[g] for a stack of witnesses."""
-    b = bs[:, None]
-    return b.swapaxes(-1, -2) @ psi_g @ b - phi_g
+def _images(phi: OrderZeroMap) -> np.ndarray:
+    """phi(g) for every matrix unit g, each corner written into a zero stack."""
+    corners = _corners(phi)
+    out = _zeros(len(corners), phi.target_dim, phi.target_dim)
+    for g, (rows, cols, h) in enumerate(corners):
+        out[g, rows, cols] = h
+    return out
 
 
-def _op_norms(m: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix in a stack; 0 for empty ones."""
-    if m.shape[-1] == 0 or m.shape[-2] == 0:
+def _symmetric(phi: OrderZeroMap, psi: OrderZeroMap) -> bool:
+    """Whether every residual b^T psi(g) b - phi(g) is symmetric.
+
+    On a commutative domain every generator is a diagonal unit, so it is
+    when every structure block equals its transpose.  psd blocks are only
+    validated as symmetric to 1e-10, so that is checked exactly, on the
+    bytes: a -0.0 facing a 0.0 merely sends the residuals to the SVD."""
+    return phi.domain.is_commutative and all(
+        f.mode == DIAG or all(h.tobytes() == h.T.tobytes() for h in f.blocks)
+        for f in (phi, psi)
+    )
+
+
+def _residuals(
+    bs: np.ndarray, corners: Sequence[Corner], phi_g: np.ndarray
+) -> np.ndarray:
+    """r[s, g] = bs[s]^T psi(g) bs[s] - phi_g[g] for a stack of witnesses,
+    with psi(g) given by its corner: only the rows of bs it meets take part."""
+    r = np.empty((len(bs), len(corners)) + phi_g.shape[1:])
+    for g, (rows, cols, h) in enumerate(corners):
+        np.matmul(bs[:, rows].swapaxes(-1, -2) @ h, bs[:, cols], out=r[:, g])
+    r -= phi_g
+    return r
+
+
+def _op_norms(m: np.ndarray, symmetric: bool = False) -> np.ndarray:
+    """Largest singular value of each matrix in a stack; 0 for empty ones.
+
+    A stack of symmetric matrices takes max |lambda| from ``eigvalsh``."""
+    if m.size == 0:
         return np.zeros(m.shape[:-2])
+    if symmetric:
+        w = np.linalg.eigvalsh(m)
+        return np.maximum(-w[..., 0], w[..., -1])
     return np.linalg.svd(m, compute_uv=False)[..., 0]
 
 

@@ -156,9 +156,24 @@ def test_block_built_images_equal_the_dense_apply(case):
     phi = image_cases()[case]
     gens = generators(phi.domain)
     dense = np.stack([phi.apply(g) for g in gens])
-    psi_g, phi_g = orderzero._generator_images(phi, phi)
-    assert phi_g.shape == dense.shape == (len(gens), phi.target_dim, phi.target_dim)
-    assert np.array_equal(phi_g, dense) and np.array_equal(psi_g, dense)
+    images = orderzero._images(phi)
+    assert images.shape == dense.shape == (len(gens), phi.target_dim, phi.target_dim)
+    assert np.array_equal(images, dense)
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_zero_padded_corners_are_the_images(case):
+    # The search multiplies only psi's corners; padded with zeros they must
+    # be the dense images bit for bit.
+    psi = image_cases()[case]
+    images = orderzero._images(psi)
+    corners = orderzero._corners(psi)
+    assert len(corners) == len(images) == len(generators(psi.domain))
+    for (rows, cols, h), image, g in zip(corners, images, generators(psi.domain)):
+        padded = np.zeros((psi.target_dim, psi.target_dim))
+        padded[rows, cols] = h
+        assert padded.tobytes() == image.tobytes()
+        assert np.array_equal(padded, psi.apply(g))  # apply may write -0.0
 
 
 @pytest.mark.parametrize("case", range(7))
@@ -230,6 +245,18 @@ def test_order_zero_check_catches_an_overlapping_fake():
     report = oz_check_order_zero(Fake(), trials=20, seed=0)
     assert not report.passed
     assert report.max_violation > 0.1
+
+
+def test_support_product_keeps_the_norm():
+    # Sparse factors with zero rows and columns on both sides: the product
+    # on the nonzero support has the norm of the whole product.
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        va, vb = (rng.standard_normal((9, 9)) * (rng.random((9, 9)) < 0.3) for _ in "ab")
+        va[rng.random(9) < 0.3] = 0
+        vb[:, rng.random(9) < 0.3] = 0
+        part = orderzero._support_product(va, vb)
+        assert abs(op_norm(part) - op_norm(va @ vb)) <= 1e-12
 
 
 def test_scalar_domain_has_no_orthogonal_pairs():
@@ -466,28 +493,84 @@ def test_witness_search_respects_eckart_young(mode, points, dims, seed):
     assert oz_witness_search(phi, psi, samples=600, seed=seed) >= margin - 1e-12
 
 
+def count_calls(monkeypatch, name):
+    """Record the length of the first argument of every call to
+    ``orderzero.<name>``."""
+    calls, fn = [], getattr(orderzero, name)
+    monkeypatch.setattr(
+        orderzero, name, lambda m, *a: calls.append(len(m)) or fn(m, *a)
+    )
+    return calls
+
+
+def zero_block(mode, m):
+    return (F(0),) * m if mode == "diag" else np.zeros((m, m))
+
+
 @pytest.mark.parametrize("mode", ["diag", "psd"])
 def test_witness_search_stops_early_on_a_constant_residual(mode, monkeypatch):
     # psi has rank 0 at every point, so b^T psi(g) b vanishes and every
-    # candidate's residual is -phi(g): one exact norm settles the search.
+    # candidate's residual is -phi(g): the floor, normed once, is the answer
+    # and no candidate is drawn.
     rng = np.random.default_rng(4)
     phi = random_map(rng, mode, [2, 1], 5)
-    psi = oz_new(findim(1, 1), 3, [1, 2], [(F(0),), (F(0), F(0))], "diag")
-    if mode == "psd":
-        psi = oz_new(findim(1, 1), 3, [1, 2], [np.zeros((1, 1)), np.zeros((2, 2))], "psd")
+    psi = oz_new(findim(1, 1), 3, [1, 2], [zero_block(mode, 1), zero_block(mode, 2)], mode)
     assert psi.ranks == (0, 0)
-    normed = []
-    op_norms = orderzero._op_norms
-    monkeypatch.setattr(
-        orderzero, "_op_norms", lambda m: normed.append(len(m)) or op_norms(m)
-    )
+    normed = count_calls(monkeypatch, "_op_norms")
     best = oz_witness_search(phi, psi, samples=1300, seed=2)
-    monkeypatch.setattr(orderzero, "_op_norms", op_norms)
+    monkeypatch.undo()
+    assert normed == [2]  # one call, on the two constant generators
     expected = max(op_norm(phi.apply(g)) for g in generators(phi.domain))
     assert abs(best - expected) <= 1e-12
     assert abs(best - reference_witness_search(phi, psi, 1300, 2)) <= 1e-12
-    if mode == "diag":  # a diagonal residual's largest column norm is its norm
-        assert normed == [1]
+
+
+@pytest.mark.parametrize("mode", ["diag", "psd"])
+def test_witness_search_stops_at_the_floor_on_a_mixed_pair(mode, monkeypatch):
+    # psi has rank 0 only at the obstructed point x1, where phi's norm is 1.
+    # A small candidate leaves x2's residual near -phi(e_2), of norm 1/2, so
+    # the first chunk reaches the floor and the other two are never drawn.
+    big, small = (F(1), F(1, 2)), (F(1, 2),)
+    if mode == "diag":
+        phi = diag_map(findim(1, 1), 5, big, small)
+    else:
+        u, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((2, 2)))
+        h = (u * [1.0, 0.5]) @ u.T
+        phi = oz_new(findim(1, 1), 5, [2, 1], [(h + h.T) / 2, np.full((1, 1), 0.5)], mode)
+    psi = oz_new(findim(1, 1), 4, [0, 2], [(), (F(1), F(1, 4))], "diag")
+    chunks = count_calls(monkeypatch, "_residuals")
+    best = oz_witness_search(phi, psi, samples=1300, seed=5)
+    monkeypatch.undo()
+    assert chunks == [512]
+    assert abs(best - 1.0) <= 1e-12
+    assert abs(best - reference_witness_search(phi, psi, 1300, 5)) <= 1e-12
+
+
+def with_zero_points(rng, psi, points):
+    """psi with a zero corner at each of ``points``: multiplicity 0 or a
+    block of zeros, at random."""
+    mults, blocks = list(psi.mults), list(psi.blocks)
+    for i in points:
+        if rng.integers(2):
+            mults[i] = 0
+        blocks[i] = zero_block(psi.mode, mults[i])
+    return oz_new(psi.domain, psi.target_dim, mults, blocks, psi.mode)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    mode=st.sampled_from(["diag", "psd"]),
+    points=st.integers(1, 4),
+    dims=st.tuples(st.integers(8, 10), st.integers(4, 10)),  # phi's ranks fit
+    zero=st.sets(st.integers(0, 3)),
+    seed=st.integers(0, 2**16),
+)
+def test_witness_search_with_zero_corners_matches_reference(mode, points, dims, zero, seed):
+    rng = np.random.default_rng(seed)
+    phi, psi = obstructed_pair(rng, mode, points, *dims)
+    psi = with_zero_points(rng, psi, [i for i in zero if i < points])
+    fast = oz_witness_search(phi, psi, samples=700, seed=seed)
+    assert abs(fast - reference_witness_search(phi, psi, 700, seed)) <= 1e-12
 
 
 def test_a_target_too_large_for_a_dense_matrix_is_a_dimension_mismatch():
