@@ -611,12 +611,12 @@ def _classify_cx(a: CX, b: CX) -> ClassificationVerdict:
     if ka == kb:
         return ClassificationVerdict(
             "Isomorphic",
-            f"reconstructed spaces are homeomorphic: {ka} points, "
+            f"point counts agree: {ka} points, "
             f"closed-set lattices of size {_power_of_two(ka)} coincide",
         )
     return ClassificationVerdict(
         "NotIsomorphic",
-        f"minimal-element counts differ in the reconstructed monoids: {ka} != {kb}",
+        f"point counts differ: {ka} != {kb}",
     )
 
 

@@ -220,21 +220,16 @@ def cmd_oz_eps(args) -> int:
 
 
 def cmd_oz_compare(args) -> int:
-    from .multiplicity import SpaceMismatch
-    from .orderzero import (
-        OrderZeroError,
-        comparison_certificate,
-        oz_construct_witness,
-        oz_cuntz_leq_commutative,
-    )
+    from .orderzero import OrderZeroError, comparison_certificate, oz_construct_witness
 
     phi = _load_map(args.phi)
     psi = _load_map(args.psi)
     try:
-        below = oz_cuntz_leq_commutative(phi, psi)
-        above = oz_cuntz_leq_commutative(psi, phi)
+        cert = comparison_certificate(phi, psi)
+        below = cert is None
+        above = comparison_certificate(psi, phi) is None
         report = oz_construct_witness(phi, psi, tol=args.tol) if below else None
-    except (OrderZeroError, SpaceMismatch) as exc:
+    except OrderZeroError as exc:
         raise CliInputError(str(exc)) from None
     verdict = _VERDICTS[(below, above)]
     doc = {"schema": SCHEMA, "verdict": verdict}
@@ -249,17 +244,14 @@ def cmd_oz_compare(args) -> int:
             doc["witness_passed"] = False
             code = 4
     else:
-        cert = comparison_certificate(phi, psi)
-        if cert is not None:
-            point, lhs, rhs = cert
-            doc["certificate"] = {"point": point, "phi_rank": lhs, "psi_rank": rhs}
-            lines.append(f"rank exceeds at {point}: {lhs} > {rhs}")
+        point, lhs, rhs = cert
+        doc["certificate"] = {"point": point, "phi_rank": lhs, "psi_rank": rhs}
+        lines.append(f"rank exceeds at {point}: {lhs} > {rhs}")
     _emit(doc, lines, args.format)
     return code
 
 
 def cmd_oz_witness(args) -> int:
-    from .multiplicity import SpaceMismatch
     from .orderzero import OrderZeroError, PreconditionViolated, oz_construct_witness
 
     phi = _load_map(args.phi)
@@ -273,7 +265,7 @@ def cmd_oz_witness(args) -> int:
             args.format,
         )
         return 4
-    except (OrderZeroError, SpaceMismatch) as exc:
+    except OrderZeroError as exc:
         raise CliInputError(str(exc)) from None
     doc = {
         "schema": SCHEMA,
@@ -281,8 +273,9 @@ def cmd_oz_witness(args) -> int:
         "residual": report.residual,
         "tolerance": report.tolerance,
         "norm_tolerance": report.norm_tolerance,
-        "witness": [[float(x) for x in row] for row in report.witness],
     }
+    if args.format == "json":  # a target_dim^2 list that text never prints
+        doc["witness"] = [[float(x) for x in row] for row in report.witness]
     lines = [
         f"witness {'accepted' if report.passed else 'REJECTED'}: "
         f"residual {report.residual:.3e} (tol {report.tolerance:g})"

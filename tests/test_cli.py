@@ -288,6 +288,38 @@ def test_oz_witness_obstructed_pair(phi_file, psi_file, capsys):
     assert "reason" in doc
 
 
+def test_oz_compare_refuses_maps_on_different_domains(tmp_path, capsys):
+    three = {**diag_map_doc(3, ["1"]), "domain": [1, 1, 1], "mult": [1, 1, 1],
+             "blocks": [[["1"]], [["1"]], [["1"]]]}
+    two = {**diag_map_doc(3, ["1"]), "domain": [1, 1], "mult": [1, 0],
+           "blocks": [[["1"]], []]}
+    a, b = write(tmp_path, "three.json", three), write(tmp_path, "two.json", two)
+    for command in ("compare", "witness"):
+        assert main(["oz", command, a, b]) == 1
+        assert capsys.readouterr() == (
+            "", "error: comparison needs a common domain, got [1, 1, 1] and [1, 1]\n"
+        )
+
+
+def test_oz_compare_and_witness_on_a_matrix_block(tmp_path, capsys):
+    # W(M_2, M_k) = W(C, M_k): the ranks of the one block decide, and the
+    # witness is c (x) 1_2.
+    small = {**diag_map_doc(5, ["1/2"]), "domain": [2]}
+    big = {**diag_map_doc(5, ["1", "3/4"]), "domain": [2]}
+    a, b = write(tmp_path, "small.json", small), write(tmp_path, "big.json", big)
+    assert main(["oz", "compare", a, b]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "leq" and out[1].startswith("witness residual ")
+    assert main(["oz", "compare", b, a, "--format", "json"]) == 4
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["certificate"] == {"point": "x1", "phi_rank": 2, "psi_rank": 1}
+    assert main(["oz", "witness", a, b, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is True and doc["residual"] < 1e-12
+    assert main(["oz", "witness", a, b]) == 0
+    assert capsys.readouterr().out.startswith("witness accepted: ")
+
+
 def test_oz_tiny_exact_entry_is_compared_and_witnessed(phi_file, tmp_path, capsys):
     half = write(tmp_path, "half.json", diag_map_doc(2, ["1/2"]))
     tiny = write(tmp_path, "tiny.json", diag_map_doc(2, ["1/1000000000000"]))

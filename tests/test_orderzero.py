@@ -151,29 +151,34 @@ def image_cases():
     ]
 
 
+def padded_images(phi):
+    """The generator corners of phi, each written into a zero matrix."""
+    corners = orderzero._corners(phi)
+    out = np.zeros((len(corners), phi.target_dim, phi.target_dim))
+    for image, (rows, cols, h) in zip(out, corners):
+        image[rows, cols] = h
+    return out
+
+
 @pytest.mark.parametrize("case", range(7))
 def test_block_built_images_equal_the_dense_apply(case):
     phi = image_cases()[case]
     gens = generators(phi.domain)
     dense = np.stack([phi.apply(g) for g in gens])
-    images = orderzero._images(phi)
+    images = padded_images(phi)
     assert images.shape == dense.shape == (len(gens), phi.target_dim, phi.target_dim)
     assert np.array_equal(images, dense)
 
 
 @pytest.mark.parametrize("case", range(7))
 def test_zero_padded_corners_are_the_images(case):
-    # The search multiplies only psi's corners; padded with zeros they must
-    # be the dense images bit for bit.
+    # The residual kernel reads phi(g) and psi(g) only as corners; padded
+    # with zeros they must be the images of the np.kron reference.
     psi = image_cases()[case]
-    images = orderzero._images(psi)
     corners = orderzero._corners(psi)
-    assert len(corners) == len(images) == len(generators(psi.domain))
-    for (rows, cols, h), image, g in zip(corners, images, generators(psi.domain)):
-        padded = np.zeros((psi.target_dim, psi.target_dim))
-        padded[rows, cols] = h
-        assert padded.tobytes() == image.tobytes()
-        assert np.array_equal(padded, psi.apply(g))  # apply may write -0.0
+    assert len(corners) == len(generators(psi.domain))
+    for image, g in zip(padded_images(psi), generators(psi.domain)):
+        assert np.array_equal(image, kron_apply(psi, g))  # kron may write -0.0
 
 
 @pytest.mark.parametrize("case", range(7))
@@ -290,6 +295,19 @@ def test_eps_cut_psd_matches_spectral_cut():
         oz_eps_cut(phi, float("nan"))
 
 
+def test_psd_eps_cut_is_symmetric_to_the_last_bit():
+    # Searches on a cut map then take the eigvalsh norms, not the SVD.
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        phi = oz_new(findim(1), 3, [3], [random_block(rng, "psd", 3, 3)], "psd")
+        cut = oz_eps_cut(phi, 0.1)
+        h = cut.block_dense(0)
+        assert h.tobytes() == h.T.tobytes()
+        assert orderzero._symmetric(cut, cut)
+        w = np.linalg.eigvalsh(h)
+        assert np.allclose(w, np.clip(np.linalg.eigvalsh(phi.block_dense(0)) - 0.1, 0, None))
+
+
 def test_eps_beyond_the_float_range_cuts_everything():
     # Every eigenvalue is at most 1 + 1e-10, so any eps above it gives the
     # zero cut; 10^400 has no float and must not raise OverflowError.
@@ -361,8 +379,7 @@ def test_non_commutative_profile_raises_on_every_call():
             phi.multiplicity
         with pytest.raises(NonCommutativeDomain):
             oz_multiplicity(phi)
-        with pytest.raises(NonCommutativeDomain):
-            oz_cuntz_leq_commutative(phi, psi)
+        assert oz_cuntz_leq_commutative(phi, psi)  # rank 2 in the one block of both
     assert phi.ranks == (2,)
 
 
@@ -510,8 +527,8 @@ def zero_block(mode, m):
 @pytest.mark.parametrize("mode", ["diag", "psd"])
 def test_witness_search_stops_early_on_a_constant_residual(mode, monkeypatch):
     # psi has rank 0 at every point, so b^T psi(g) b vanishes and every
-    # candidate's residual is -phi(g): the floor, normed once, is the answer
-    # and no candidate is drawn.
+    # candidate's residual is -phi(g): the floor, read off phi's spectrum,
+    # is the answer, and no candidate is drawn or normed.
     rng = np.random.default_rng(4)
     phi = random_map(rng, mode, [2, 1], 5)
     psi = oz_new(findim(1, 1), 3, [1, 2], [zero_block(mode, 1), zero_block(mode, 2)], mode)
@@ -519,7 +536,7 @@ def test_witness_search_stops_early_on_a_constant_residual(mode, monkeypatch):
     normed = count_calls(monkeypatch, "_op_norms")
     best = oz_witness_search(phi, psi, samples=1300, seed=2)
     monkeypatch.undo()
-    assert normed == [2]  # one call, on the two constant generators
+    assert normed == []
     expected = max(op_norm(phi.apply(g)) for g in generators(phi.domain))
     assert abs(best - expected) <= 1e-12
     assert abs(best - reference_witness_search(phi, psi, 1300, 2)) <= 1e-12
@@ -654,11 +671,97 @@ def test_witness_for_an_entry_below_the_float_range_is_rejected():
     assert report.residual == 0.5
 
 
-def test_witness_construction_needs_commutative_domain():
+def test_witness_construction_on_a_non_commutative_domain():
     phi = diag_map(findim(2), 5, (F(1, 2),))
     psi = diag_map(findim(2), 5, (F(1), F(3, 4)))
-    with pytest.raises(NonCommutativeDomain):
+    report = oz_construct_witness(phi, psi)
+    assert report.passed and report.residual < 1e-12
+    # b = c (x) 1_2 with c = [[sqrt(1/2)], [0]]: c on the rows 0, 2 and the
+    # column 0, and again on the rows 1, 3 and the column 1
+    expected = np.zeros((5, 5))
+    expected[0, 0] = expected[1, 1] = np.sqrt(0.5)
+    assert np.allclose(report.witness, expected, atol=1e-15)
+
+
+def test_comparison_needs_a_common_domain():
+    three = diag_map(findim(1, 1, 1), 3, (F(1),), (F(1),), (F(1),))
+    two = diag_map(findim(1, 1), 3, (F(1),), ())
+    for a, b in ((three, two), (two, three)):
+        with pytest.raises(DomainMismatch, match="common domain"):
+            comparison_certificate(a, b)
+        with pytest.raises(DomainMismatch):
+            oz_cuntz_leq_commutative(a, b)
+        with pytest.raises(DomainMismatch):
+            oz_construct_witness(a, b)
+    # the same block count with other block sizes is another domain too
+    with pytest.raises(DomainMismatch):
+        comparison_certificate(two, diag_map(findim(1, 2), 3, (F(1),), ()))
+
+
+def block_map(rng, mode, sizes, ranks, spare):
+    """A map on the domain with the given block sizes: block i has
+    multiplicity ranks[i] or one more, and eigenvalues k/8, ranks[i] of them
+    positive, rotated by a random orthogonal matrix in psd mode.  The target
+    has ``spare`` dimensions beyond the used ones."""
+    mults = [r + int(rng.integers(0, 2)) for r in ranks]
+    target_dim = sum(m * n for m, n in zip(mults, sizes)) + spare
+    blocks = []
+    for m, r in zip(mults, ranks):
+        eigs = [F(int(k), 8) for k in rng.integers(1, 9, r)] + [F(0)] * (m - r)
+        if mode == "diag":
+            blocks.append(tuple(eigs))
+        else:
+            u, _ = np.linalg.qr(rng.standard_normal((m, m)))
+            h = (u * [float(x) for x in eigs]) @ u.T
+            blocks.append((h + h.T) / 2)
+    return oz_new(findim(*sizes), target_dim, mults, blocks, mode)
+
+
+def rank_oracle(phi):
+    """rank phi(E_11) of every block, from the dense image."""
+    ranks = []
+    for i, n in enumerate(phi.domain.blocks):
+        e11 = [np.zeros((k, k)) for k in phi.domain.blocks]
+        e11[i][0, 0] = 1.0
+        ranks.append(int(np.linalg.matrix_rank(phi.apply(e11), tol=1e-9)))
+    return ranks
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mode=st.sampled_from(["diag", "psd"]),
+    sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    phi_ranks=st.lists(st.integers(0, 2), min_size=3, max_size=3),
+    psi_ranks=st.lists(st.integers(0, 2), min_size=3, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_comparison_by_block_ranks_on_any_domain(mode, sizes, phi_ranks, psi_ranks, seed):
+    # By additivity and W(M_n, B) = W(C, B), phi <= psi exactly when
+    # rank phi(E_11) <= rank psi(E_11) in every block.  A dominated pair has
+    # the witness c (x) 1_n; an obstructed one no candidate within the
+    # Eckart-Young margin of the obstructed block.
+    rng = np.random.default_rng(seed)
+    k = len(sizes)
+    phi = block_map(rng, mode, sizes, phi_ranks[:k], 0)
+    psi = block_map(rng, mode, sizes, psi_ranks[:k], 1)
+    lhs, rhs = rank_oracle(phi), rank_oracle(psi)
+    below = all(a <= b for a, b in zip(lhs, rhs))
+    assert oz_cuntz_leq_commutative(phi, psi) == below
+    cert = comparison_certificate(phi, psi)
+    if below:
+        assert cert is None
+        assert oz_construct_witness(phi, psi).residual < 1e-12
+        return
+    i = next(j for j in range(k) if lhs[j] > rhs[j])
+    assert cert == (f"x{i + 1}", lhs[i], rhs[i])
+    with pytest.raises(PreconditionViolated):
         oz_construct_witness(phi, psi)
+    margin = 0.0
+    for j in range(k):
+        sv = np.linalg.svd(phi.block_dense(j), compute_uv=False)
+        margin = max(margin, float(sv[rhs[j]]) if rhs[j] < len(sv) else 0.0)
+    assert margin >= 1 / 8 - 1e-12
+    assert oz_witness_search(phi, psi, samples=200, seed=seed) >= margin - 1e-12
 
 
 # ---------------------------------------------------------------------------
