@@ -24,9 +24,9 @@ factors into stabilization), never theorems about the invariants themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
+from .record import Record
 from .supernatural import (
     Supernatural,
     sn_format,
@@ -36,18 +36,16 @@ from .supernatural import (
 )
 
 
-class AlgebraExpr:
-    """Base class; concrete variants are the frozen dataclasses below."""
+class AlgebraExpr(Record):
+    """Base class; concrete variants are the records below."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Complex(AlgebraExpr):
     pass
 
 
-@dataclass(frozen=True)
 class Mat(AlgebraExpr):
     n: int
 
@@ -56,7 +54,6 @@ class Mat(AlgebraExpr):
             raise ValueError("matrix size must be >= 1")
 
 
-@dataclass(frozen=True)
 class FinDim(AlgebraExpr):
     sizes: Tuple[int, ...]
 
@@ -65,7 +62,6 @@ class FinDim(AlgebraExpr):
             raise ValueError("finite-dimensional sums need sizes >= 1")
 
 
-@dataclass(frozen=True)
 class CX(AlgebraExpr):
     """Continuous functions on a finite discrete space with named points."""
 
@@ -78,17 +74,14 @@ class CX(AlgebraExpr):
             raise ValueError("point labels must be distinct")
 
 
-@dataclass(frozen=True)
 class UHF(AlgebraExpr):
     number: Supernatural
 
 
-@dataclass(frozen=True)
 class JiangSu(AlgebraExpr):
     pass
 
 
-@dataclass(frozen=True)
 class KirchbergSimple(AlgebraExpr):
     name: str
 
@@ -97,12 +90,10 @@ class KirchbergSimple(AlgebraExpr):
             raise ValueError(f"unknown Kirchberg label {self.name!r}")
 
 
-@dataclass(frozen=True)
 class Compacts(AlgebraExpr):
     pass
 
 
-@dataclass(frozen=True, init=False)
 class _Chain(AlgebraExpr):
     """Two or more operands joined by one associative operator.
 
@@ -118,7 +109,9 @@ class _Chain(AlgebraExpr):
             raise ValueError("a chain needs at least two operands")
         if type(operands[0]) is type(self):
             operands = operands[0].items + operands[1:]
+        # the field and its tuple, as a compiled Record __init__ sets them
         object.__setattr__(self, "items", operands)
+        object.__setattr__(self, "_values", (operands,))
 
 
 class Tensor(_Chain):
@@ -129,12 +122,10 @@ class DirectSum(_Chain):
     pass
 
 
-@dataclass(frozen=True)
 class Stabilize(AlgebraExpr):
     inner: AlgebraExpr
 
 
-@dataclass(frozen=True)
 class MatAmp(AlgebraExpr):
     n: int
     inner: AlgebraExpr
@@ -144,7 +135,6 @@ class MatAmp(AlgebraExpr):
             raise ValueError("amplification size must be >= 1")
 
 
-@dataclass(frozen=True)
 class MatInf(AlgebraExpr):
     inner: AlgebraExpr
 

@@ -14,8 +14,7 @@ Every step is recorded with the name of the theorem that justifies it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .algebra import (
     COMPLEX,
@@ -43,14 +42,19 @@ from .algebra import (
     to_text,
 )
 from .extnat import ExtNat
-from .multiplicity import MultiplicityFunction, Space, SpaceMismatch, space_to_json
+from .record import Record
 from .supernatural import sn_format, sn_parse
 from .supernatural import _is_prime
+
+# The multiplicity layer is imported where CX values need it, so that an
+# evaluation without CX never loads it.
+if TYPE_CHECKING:
+    from .multiplicity import MultiplicityFunction, Space
 
 DYADIC_SUPERNATURAL = sn_parse("2:inf")
 
 
-class SemigroupValue:
+class SemigroupValue(Record):
     """Base class for canonical values; variants below.
 
     Each variant declares its JSON ``kind`` and its text once: a constant
@@ -67,34 +71,28 @@ class SemigroupValue:
         return {}
 
 
-@dataclass(frozen=True)
 class NatSG(SemigroupValue):
     kind, symbol = "Nat", "ℕ₀"
 
 
-@dataclass(frozen=True)
 class ExtNatSG(SemigroupValue):
     kind, symbol = "ExtNat", "ℕ₀∪{∞}"
 
 
-@dataclass(frozen=True)
 class ZeroSG(SemigroupValue):
     kind, symbol = "Zero", "{0}"
 
 
-@dataclass(frozen=True)
 class TwoPointSG(SemigroupValue):
     kind, symbol = "TwoPoint", "{0,∞}"
 
 
-@dataclass(frozen=True)
 class CarSG(SemigroupValue):
     """Dyadic compact values together with a soft positive part."""
 
     kind, symbol = "Car", "ℕ₀[1/2]⊔(0,∞)"
 
 
-@dataclass(frozen=True)
 class _OnSpace(SemigroupValue):
     space: Space
 
@@ -103,15 +101,15 @@ class _OnSpace(SemigroupValue):
         return f"{self.symbol}({points})"
 
     def fields(self) -> dict:
+        from .multiplicity import space_to_json
+
         return {"space": space_to_json(self.space)}
 
 
-@dataclass(frozen=True)
 class MfSG(_OnSpace):
     kind = symbol = "Mf"
 
 
-@dataclass(frozen=True)
 class MfiSG(_OnSpace):
     kind, symbol = "Mfi", "Mf_i"
 
@@ -123,7 +121,6 @@ def _power_of_two(k: int) -> Union[int, str]:
     return 2 ** k if k <= 64 else f"2^{k}"
 
 
-@dataclass(frozen=True)
 class IdealLatticeSG(SemigroupValue):
     """Subsets of k simple summands under intersection."""
 
@@ -153,7 +150,6 @@ class IdealLatticeSG(SemigroupValue):
         return frozenset(range(1, self.summands + 1))
 
 
-@dataclass(frozen=True)
 class DirectSumSG(SemigroupValue):
     summands: Tuple[SemigroupValue, ...]
     kind = "DirectSum"
@@ -169,7 +165,6 @@ class DirectSumSG(SemigroupValue):
         return {"summands": [value_to_json(s) for s in self.summands]}
 
 
-@dataclass(frozen=True)
 class _OfAlgebra(SemigroupValue):
     algebra: AlgebraExpr
 
@@ -180,17 +175,14 @@ class _OfAlgebra(SemigroupValue):
         return {"algebra": to_text(self.algebra)}
 
 
-@dataclass(frozen=True)
 class WOfSG(_OfAlgebra):
     kind, symbol = "WOf", "W"
 
 
-@dataclass(frozen=True)
 class CuOfSG(_OfAlgebra):
     kind, symbol = "CuOf", "Cu"
 
 
-@dataclass(frozen=True)
 class UnknownSG(SemigroupValue):
     query: str
     kind = "Unknown"
@@ -239,8 +231,7 @@ def has_unknown(v: SemigroupValue) -> bool:
 # ---------------------------------------------------------------------------
 # Queries and the trace.
 
-@dataclass(frozen=True)
-class Query:
+class Query(Record):
     variant: str  # "W" | "WW" | "Wof" | "Cuof"
     a: AlgebraExpr
     b: Optional[AlgebraExpr] = None
@@ -264,8 +255,7 @@ def query_text(q: Query) -> str:
     )
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Record):
     rule: str
     anchor: str
     before: str
@@ -319,9 +309,15 @@ def _r_kirchberg(q: Query) -> Optional[Outcome]:
     return None
 
 
+def _spectrum(a: CX) -> Space:
+    from .multiplicity import Space
+
+    return Space.discrete(a.points)
+
+
 def _r_homology(q: Query) -> Optional[Outcome]:
     if isinstance(q.a, CX) and isinstance(q.b, Complex):
-        space = Space.discrete(q.a.points)
+        space = _spectrum(q.a)
         if q.variant == "WW":
             return MfSG(space)
         if q.variant == "W":
@@ -336,12 +332,12 @@ def _r_base_mono(q: Query) -> Optional[Outcome]:
         if _is_dyadic_uhf(q.a):
             return CarSG()
         if isinstance(q.a, CX):
-            return MfiSG(Space.discrete(q.a.points))
+            return MfiSG(_spectrum(q.a))
     if q.variant == "Cuof":
         if isinstance(q.a, Complex):
             return ExtNatSG()
         if isinstance(q.a, CX):
-            return MfSG(Space.discrete(q.a.points))
+            return MfSG(_spectrum(q.a))
     return None
 
 
@@ -423,7 +419,7 @@ def _absorb(e: AlgebraExpr, b: AlgebraExpr) -> AlgebraExpr:
     if isinstance(e, Tensor):
         return Tensor(*(_absorb(item, b) for item in e.items))
     if isinstance(e, (Stabilize, MatInf, MatAmp)):
-        return replace(e, inner=_absorb(e.inner, b))
+        return e.replace(inner=_absorb(e.inner, b))
     if is_strongly_self_absorbing(e) and absorbs(b, e):
         return COMPLEX
     return e
@@ -442,8 +438,7 @@ def _r_bare_absorption(q: Query) -> Optional[Outcome]:
     return None
 
 
-@dataclass(frozen=True)
-class _Rule:
+class _Rule(Record):
     name: str
     anchor: str
     klass: int
@@ -565,6 +560,8 @@ def compose_product(rank: Mapping[str, int], nu: MultiplicityFunction) -> ExtNat
     """Pairing of a rank function with a multiplicity function over a shared
     finite discrete space: sum of pointwise products in the extended
     naturals."""
+    from .multiplicity import SpaceMismatch
+
     if nu.space.kind != "discrete":
         raise SpaceMismatch("the composition product needs a discrete space")
     labels = set(nu.space.points)
@@ -581,8 +578,7 @@ def compose_product(rank: Mapping[str, int], nu: MultiplicityFunction) -> ExtNat
 # ---------------------------------------------------------------------------
 # Classification and scales.
 
-@dataclass(frozen=True)
-class ClassificationVerdict:
+class ClassificationVerdict(Record):
     verdict: str  # Isomorphic | NotIsomorphic | Undecided
     certificate: str
 
@@ -661,8 +657,7 @@ class NotDecidable(Exception):
     """Scale analysis is restricted to matrix pairs."""
 
 
-@dataclass(frozen=True)
-class ScaleNote:
+class ScaleNote(Record):
     n: int
     m: int
     forward_scale: Tuple[int, ...]

@@ -6,8 +6,10 @@ functions over a shared space), classify (isomorphism verdicts), oz
 checks on the extended naturals).
 
 Each handler imports the layer it uses, so a run loads only that layer:
-eval and classify load algebra and catalog, compare loads multiplicity,
-axioms loads waxioms, and only the oz subcommands load orderzero and numpy.
+eval and classify load algebra and catalog, and eval loads multiplicity
+only for CX values; compare loads multiplicity, axioms loads waxioms, and
+only the oz subcommands load orderzero and numpy.  json is loaded only to
+read a document or to write JSON.
 
 Exit codes: 0 success, 1 input error, 2 Unknown evaluation, 3 Undecided
 classification, 4 negative comparison or failed check.  All file documents
@@ -18,11 +20,8 @@ identical inputs, seed and tolerance.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional
 
@@ -50,6 +49,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(doc: dict, text_lines: List[str], fmt: str) -> None:
     if fmt == "json":
+        import json
+
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
         for line in text_lines:
@@ -57,6 +58,8 @@ def _emit(doc: dict, text_lines: List[str], fmt: str) -> None:
 
 
 def _load_doc(path: str) -> dict:
+    import json
+
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -203,6 +206,9 @@ def cmd_oz_check(args) -> int:
 
 
 def cmd_oz_eps(args) -> int:
+    import json
+    from fractions import Fraction
+
     from .orderzero import OrderZeroError, oz_eps_cut, oz_to_json
 
     phi = _load_map(args.phi)
@@ -285,6 +291,8 @@ def cmd_oz_witness(args) -> int:
 
 
 def _faulty_fragment(bound: int, fault: str):
+    import dataclasses
+
     from .waxioms import extnat_fragment
 
     base = extnat_fragment(bound)

@@ -22,6 +22,7 @@ from itertools import product as iproduct
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .extnat import INF, ExtNat
+from .record import Record
 
 Point = Union[str, Fraction]
 Interval = Tuple[Fraction, Fraction]
@@ -39,8 +40,7 @@ DISCRETE = "discrete"
 INTERVAL = "interval"
 
 
-@dataclass(frozen=True)
-class Space:
+class Space(Record):
     """A finite discrete space with named points, or the unit interval."""
 
     kind: str
@@ -94,8 +94,7 @@ def _norm_intervals(segments: Iterable[Interval]) -> Tuple[Interval, ...]:
     return tuple(merged)
 
 
-@dataclass(frozen=True)
-class ClosedSet:
+class ClosedSet(Record):
     """A closed subset: a label set (discrete) or normalised rational
     intervals (unit interval; [a,a] encodes an isolated point)."""
 
@@ -171,8 +170,7 @@ def _atom_key(space: Space) -> Callable[[Tuple[Point, ExtNat]], object]:
     return lambda item: item[0]
 
 
-@dataclass(frozen=True)
-class MultiplicityFunction:
+class MultiplicityFunction(Record):
     """Atoms (point -> value >= 1) plus an essential closed set of value inf.
 
     Atom points lie outside the essential set; over the interval the
@@ -354,7 +352,10 @@ LeqOracle = Callable[[object, object], bool]
 
 @dataclass
 class RecoveredSpace:
-    """Result of reconstructing a finite discrete space from its fragment."""
+    """Result of reconstructing a finite discrete space from its fragment.
+
+    A dataclass, not a Record: callers take it apart with ``dataclasses``.
+    """
 
     point_count: int
     closed_sets: Tuple[frozenset, ...]

@@ -24,7 +24,6 @@ this rule; the ranks and the multiplicity profile are counted once per map
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import inf, isfinite, sqrt
@@ -35,6 +34,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 # instead of adding to its peak (1.3 MB of an oz run's 32 MB).
 from .extnat import ExtNat
 from .multiplicity import MultiplicityFunction, Space, mf
+from .record import Record
 
 import numpy as np
 
@@ -85,8 +85,7 @@ class DomainMismatch(OrderZeroError):
     """The maps do not share the required domain or target."""
 
 
-@dataclass(frozen=True)
-class FinDimAlgebra:
+class FinDimAlgebra(Record):
     """A finite direct sum of matrix algebras, given by its block sizes."""
 
     blocks: Tuple[int, ...]
@@ -121,13 +120,17 @@ Element = Sequence[Union[float, Fraction, Sequence, np.ndarray]]
 Corner = Tuple[slice, slice, np.ndarray]  # rows, columns, block
 
 
-@dataclass(frozen=True, eq=False)
-class OrderZeroMap:
+class OrderZeroMap(Record):
+    """A map equals only itself: its blocks may be numpy arrays."""
+
     domain: FinDimAlgebra
     target_dim: int
     mults: Tuple[int, ...]
     blocks: Tuple[Block, ...]
     mode: str
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @cached_property
     def offsets(self) -> Tuple[int, ...]:
@@ -274,8 +277,7 @@ def oz_new(
     return phi
 
 
-@dataclass
-class OrthogonalityReport:
+class OrthogonalityReport(Record):
     passed: bool
     max_violation: float
     trials: int
@@ -406,8 +408,7 @@ def comparison_certificate(
     return None
 
 
-@dataclass
-class WitnessReport:
+class WitnessReport(Record):
     witness: np.ndarray
     residual: float
     tolerance: float
@@ -478,8 +479,7 @@ def _eigpairs(phi: OrderZeroMap, i: int) -> Tuple[List[float], np.ndarray]:
     return wf[order].tolist(), v[:, order]
 
 
-@dataclass
-class EpsRankReport:
+class EpsRankReport(Record):
     lhs_rank: int
     rhs_rank: int
 
@@ -537,8 +537,7 @@ def _element_eigenvalues(blk, n: int, i: int) -> np.ndarray:
     return x if x.ndim == 1 else np.linalg.eigvalsh(x)
 
 
-@dataclass
-class HandelmanReport:
+class HandelmanReport(Record):
     z: np.ndarray
     z_norm: float
     deviation: float

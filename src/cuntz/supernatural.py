@@ -5,10 +5,10 @@ the infinite power).  These classify UHF algebras up to isomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Tuple
 
 from .extnat import INF, ExtNat
+from .record import Record
 
 
 class NotPrime(ValueError):
@@ -71,8 +71,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Supernatural:
+class Supernatural(Record):
     """A supernatural number, stored as sorted (prime, exponent) pairs.
 
     ``universal`` marks the product of every prime to the infinite power;

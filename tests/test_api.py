@@ -199,9 +199,12 @@ def test_exact_layer_does_not_load_numpy():
 
 # Each subcommand loads only its own layer: only the oz subcommands load
 # numpy (through cuntz.orderzero), and only eval and classify the catalog.
-# Each set below names modules that a subcommand must leave unloaded.
+# Without CX values, eval and classify load neither the multiplicity layer
+# nor dataclasses.  Each set below names modules that a subcommand must
+# leave unloaded.
 NUMPY = {"numpy", "cuntz.orderzero"}
 NUMPY_OR_CATALOG = NUMPY | {"cuntz.catalog"}
+NUMPY_OR_MULTIPLICITY = NUMPY | {"dataclasses", "cuntz.multiplicity"}
 CATALOG_OR_WAXIOMS = {"cuntz.catalog", "cuntz.waxioms"}
 
 
@@ -221,10 +224,10 @@ def _diag_map(target_dim, diags):
     [
         pytest.param(argv, absent, id=" ".join(argv))
         for argv, absent in [
-            (["eval", "M(2)", "Z"], NUMPY),
+            (["eval", "M(2)", "Z"], NUMPY_OR_MULTIPLICITY),
             (["eval", "--ww", "CX(p,q)", "O2"], NUMPY),
-            (["classify", "M(2)", "M(3)"], NUMPY),
-            (["classify", "CX(a,b)", "CX(p,q)"], NUMPY),
+            (["classify", "M(2)", "M(3)"], NUMPY_OR_MULTIPLICITY),
+            (["classify", "CX(a,b)", "CX(p,q)"], NUMPY_OR_MULTIPLICITY),
             (["compare", "{space}", "{nu}", "{mu}"], NUMPY_OR_CATALOG),
             (["axioms", "extnat", "--bound", "4"], NUMPY_OR_CATALOG),
             (["oz", "check", "{phi}"], CATALOG_OR_WAXIOMS),
