@@ -109,9 +109,7 @@ class _Chain(AlgebraExpr):
             raise ValueError("a chain needs at least two operands")
         if type(operands[0]) is type(self):
             operands = operands[0].items + operands[1:]
-        # the field and its tuple, as a compiled Record __init__ sets them
         object.__setattr__(self, "items", operands)
-        object.__setattr__(self, "_values", (operands,))
 
 
 class Tensor(_Chain):

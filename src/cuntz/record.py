@@ -8,12 +8,14 @@ equal fields, hash like the tuple of their fields and print as
 once they are set, also on ``replace``.
 
 Unlike ``dataclasses``, defining a class generates no code, so importing a
-module of records stays cheap.  The first instance of a class compiles its
-``__init__``, which sets each field and ``_values``, the tuple of the fields
-that equality and hashing read.
+module of records stays cheap: equality and hashing read the fields through
+one ``operator.attrgetter`` per class, and the first instance of a class
+compiles the ``__init__`` that sets them.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 _set = object.__setattr__
 
@@ -21,7 +23,6 @@ _set = object.__setattr__
 class Record:
     __slots__ = ()
     _fields = ()  # the field names, in order
-    _values = ()  # what a compiled __init__ sets on an instance with fields
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -31,6 +32,8 @@ class Record:
                 if name not in names:
                     names.append(name)
         cls._fields = tuple(names)
+        if "__eq__" not in vars(cls):
+            cls.__eq__, cls.__hash__ = _comparisons(cls._fields)
         # A subclass may add fields or change defaults, so it compiles its
         # own __init__; a hand-written one is inherited as it is.
         if "__init__" not in vars(cls) and getattr(cls.__init__, "_compiled", False):
@@ -47,21 +50,34 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values == other._values
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values)
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({inner})"
 
     def replace(self, **changes) -> Record:
         """A copy with the given fields changed, validated as a new instance."""
-        return type(self)(**{**dict(zip(self._fields, self._values)), **changes})
+        return type(self)(**{**{name: getattr(self, name) for name in self._fields}, **changes})
+
+
+def _comparisons(names):
+    get = attrgetter(*names) if names else lambda self: ()
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return get(self) == get(other)
+        return NotImplemented
+
+    if len(names) == 1:  # attrgetter returns the bare value
+
+        def __hash__(self):
+            return hash((get(self),))
+
+    else:
+
+        def __hash__(self):
+            return hash(get(self))
+
+    return __eq__, __hash__
 
 
 def _compile_init(cls):
@@ -71,8 +87,6 @@ def _compile_init(cls):
         raise TypeError(f"{cls.__qualname__}: a field without a default follows a default")
     lines = [f"def __init__(self, {', '.join(names)}):", "    pass"]
     lines += [f"    _set(self, {name!r}, {name})" for name in names]
-    if names:
-        lines.append(f"    _set(self, '_values', ({''.join(n + ', ' for n in names)}))")
     if hasattr(cls, "__post_init__"):
         lines.append("    self.__post_init__()")
     namespace = {"_set": _set}
