@@ -478,8 +478,20 @@ def _normalize_query(q: Query) -> Query:
     return Query(q.variant, a, b)
 
 
+def _first_match(q: Query) -> Optional[Tuple[_Rule, Outcome]]:
+    """The rule the engine applies, with its outcome, or None.  RULES is
+    sorted by class, so the first rule that matches is the first of the
+    lowest matching class, and the rules after it need not run."""
+    for rule in RULES:
+        outcome = rule.fn(q)
+        if outcome is not None:
+            return rule, outcome
+    return None
+
+
 def _matches(q: Query) -> List[Tuple[_Rule, Outcome]]:
-    """Matching rules of the lowest matching class, in priority order."""
+    """Matching rules of the lowest matching class, in priority order; the
+    confluence tests try each of them."""
     found: List[Tuple[_Rule, Outcome]] = []
     best = None
     for rule in RULES:
@@ -517,11 +529,11 @@ def _evaluate(q: Query) -> Tuple[SemigroupValue, RewriteTrace]:
         # that no long query is cut short: every node of it prints as at
         # least one character.
         for _ in range(64 + len(before)):
-            matched = _matches(q)
-            if not matched:
+            matched = _first_match(q)
+            if matched is None:
                 values.append(_terminal_value(q))
                 break
-            rule, outcome = matched[0]
+            rule, outcome = matched
             if isinstance(outcome, SemigroupValue):
                 trace.append(TraceStep(rule.name, rule.anchor, before, value_text(outcome)))
                 values.append(outcome)

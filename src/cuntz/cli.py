@@ -280,8 +280,11 @@ def cmd_oz_witness(args) -> int:
         "tolerance": report.tolerance,
         "norm_tolerance": report.norm_tolerance,
     }
-    if args.format == "json":  # a target_dim^2 list that text never prints
-        doc["witness"] = [[float(x) for x in row] for row in report.witness]
+    if args.format == "json":  # the only place the corner is zero-padded
+        try:
+            doc["witness"] = report.dense().tolist()
+        except OrderZeroError as exc:
+            raise CliInputError(str(exc)) from None
     lines = [
         f"witness {'accepted' if report.passed else 'REJECTED'}: "
         f"residual {report.residual:.3e} (tol {report.tolerance:g})"

@@ -27,16 +27,20 @@ import random
 from fractions import Fraction
 from functools import cached_property
 from math import inf, isfinite, sqrt
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 # The package's own modules before numpy: compiled from source where no
 # bytecode cache is written, their compile memory is then reused by numpy
-# instead of adding to its peak (1.3 MB of an oz run's 32 MB).
+# instead of adding to its peak (1.3 MB of an oz run's 32 MB).  The
+# multiplicity layer is imported where a spectrum or a profile needs it, so
+# that check, compare and witness never load it.
 from .extnat import ExtNat
-from .multiplicity import MultiplicityFunction, Space, mf
 from .record import Record
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .multiplicity import MultiplicityFunction, Space
 
 DIAG = "diag"
 PSD = "psd"
@@ -105,6 +109,8 @@ class FinDimAlgebra(Record):
         return tuple(f"x{i + 1}" for i in range(len(self.blocks)))
 
     def spectrum(self) -> Space:
+        from .multiplicity import Space
+
         return Space.discrete(self.point_labels)
 
 
@@ -131,6 +137,12 @@ class OrderZeroMap(Record):
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+
+    @cached_property
+    def used(self) -> int:
+        """u = sum of m_i n_i: every image vanishes outside its first u rows
+        and columns, the used corner of the target."""
+        return sum(m * n for m, n in zip(self.mults, self.domain.blocks))
 
     @cached_property
     def offsets(self) -> Tuple[int, ...]:
@@ -201,6 +213,8 @@ class OrderZeroMap(Record):
         simply absent from the atom list.  Built on first use; a
         non-commutative domain raises ``NonCommutativeDomain`` on every call.
         """
+        from .multiplicity import mf
+
         if not self.domain.is_commutative:
             raise NonCommutativeDomain("multiplicity profiles need a commutative domain")
         atoms = {p: ExtNat(r) for p, r in zip(self.domain.point_labels, self.ranks) if r}
@@ -409,7 +423,11 @@ def comparison_certificate(
 
 
 class WitnessReport(Record):
-    witness: np.ndarray
+    """A witness b, stored as its corner: b is ``corner`` in the top left of
+    a ``shape`` matrix and zero elsewhere."""
+
+    corner: np.ndarray
+    shape: Tuple[int, int]
     residual: float
     tolerance: float
     norm_tolerance: float = NORM_TOL
@@ -418,14 +436,22 @@ class WitnessReport(Record):
     def passed(self) -> bool:
         return self.residual <= self.tolerance
 
+    def dense(self) -> np.ndarray:
+        """b itself, zero-padded to its full shape; ``DimensionMismatch``
+        where that shape is too large to allocate."""
+        b = _zeros(*self.shape)
+        b[tuple(map(slice, self.corner.shape))] = self.corner
+        return b
+
 
 def oz_verify_witness(
     phi: OrderZeroMap, psi: OrderZeroMap, b: np.ndarray, tol: float = 1e-6
 ) -> WitnessReport:
     """Residual max_g ||b* psi(g) b - phi(g)|| over the matrix-unit generators.
 
-    The residuals of all generators go through the residual kernel of
-    ``oz_witness_search`` and one stacked exact norm.
+    Row and column j of every residual vanish where phi does not use j and
+    column j of b is zero on psi's used rows, so the residuals are normed on
+    the other columns alone, which is exact (see ``_witness_residual``).
     """
     if phi.domain != psi.domain:
         raise DomainMismatch("witness verification needs a common domain")
@@ -436,9 +462,20 @@ def oz_verify_witness(
         )
     if not np.isfinite(b).all():
         raise NotFinite("the witness has a non-finite entry")
+    rows = b[: psi.used]
+    cols = rows.any(axis=0)
+    cols[: phi.used] = True
+    residual = _witness_residual(phi, psi, rows[:, cols])
+    return WitnessReport(b, b.shape, residual, tol)
+
+
+def _witness_residual(phi: OrderZeroMap, psi: OrderZeroMap, b: np.ndarray) -> float:
+    """The residual of a witness given by psi's used rows and a set of its
+    columns that starts with phi's used ones, in order: every other row and
+    column of every residual is zero.  All generators go through the
+    residual kernel of ``oz_witness_search`` and one stacked exact norm."""
     r = _residuals(b[None], _generator_images(phi, psi))
-    residual = float(_op_norms(r, _symmetric(phi, psi)).max())
-    return WitnessReport(b, residual, tol)
+    return float(_op_norms(r, _symmetric(phi, psi)).max())
 
 
 def oz_construct_witness(
@@ -448,12 +485,14 @@ def oz_construct_witness(
 
     The eigenvalues of block i that ``ranks`` counts are paired in
     decreasing order and scaled by sqrt(lambda/mu) into c_i; c_i (x) 1_n is
-    c_i on the n corners of the units E_rr (see ``_corners``).  The residual
+    c_i on the n corners of the units E_rr (see ``_corners``).  b is built
+    and verified on its used corner, psi's used rows and phi's used
+    columns, so the cost does not grow with the targets.  The residual
     vanishes up to rounding.
     """
     if comparison_certificate(phi, psi) is not None:
         raise PreconditionViolated("phi is not below psi; no witness exists")
-    b = _zeros(psi.target_dim, phi.target_dim)
+    b = np.zeros((psi.used, phi.used))
     for i, n in enumerate(phi.domain.blocks):
         lam, vecs_phi = _eigpairs(phi, i)
         mu, vecs_psi = _eigpairs(psi, i)
@@ -468,7 +507,8 @@ def oz_construct_witness(
         rows, cols = psi.offsets[i], phi.offsets[i]
         for r in range(n):
             b[rows + r : rows + mq * n : n, cols + r : cols + mp * n : n] = c
-    return oz_verify_witness(phi, psi, b, tol)
+    shape = (psi.target_dim, phi.target_dim)
+    return WitnessReport(b, shape, _witness_residual(phi, psi, b), tol)
 
 
 def _eigpairs(phi: OrderZeroMap, i: int) -> Tuple[List[float], np.ndarray]:
@@ -588,16 +628,20 @@ def oz_witness_search(
 ) -> float:
     """Best residual over random witness candidates; deterministic per seed.
 
-    Candidates are dense Gaussian matrices with random scaling, drawn in
-    chunks of 512.  A generator g whose corner of psi is zero (multiplicity
-    0, or a block of zeros) has the residual -phi(g) for every candidate, of
-    norm ||H_i|| for phi's block i: the largest is the floor, below which no
-    candidate can go.  The other generators go through one batched residual
-    kernel, r = B^T C_g B - phi(g), with C_g the corner of psi(g), B the
-    matching rows of the candidate and phi(g) subtracted on its corner.  The
-    largest column 2-norm of r, raised to the floor, is a lower bound of a
-    candidate's value, so a candidate whose bound is not below the running
-    best cannot improve it.
+    Candidates are Gaussian matrices with random scaling, drawn in chunks
+    of 512 on the used corner only: psi's first u(psi) rows, the only ones
+    that psi(g) meets, and phi's first u(phi) columns.  Compressing a
+    candidate of the full shape to phi's used columns compresses every
+    residual to that corner, which never raises its norm, so a corner draw
+    loses nothing, and unused dimensions cost nothing.  A generator g whose
+    corner of psi is zero (multiplicity 0, or a block of zeros) has the
+    residual -phi(g) for every candidate, of norm ||H_i|| for phi's block
+    i: the largest is the floor, below which no candidate can go.  The
+    other generators go through one batched residual kernel,
+    r = B^T C_g B - phi(g), with C_g the corner of psi(g) and B the matching
+    rows of the candidate.  The largest column 2-norm of r, raised to the
+    floor, is a lower bound of a candidate's value, so a candidate whose
+    bound is not below the running best cannot improve it.
     Exact norms (stacked ``eigvalsh`` where every residual is symmetric,
     SVDs otherwise) are taken in ascending order of the bound: the lowest
     alone, then batches of 16, until the next bound reaches the running
@@ -618,9 +662,7 @@ def oz_witness_search(
     while left > 0 and best > floor:
         s = min(chunk, left)
         left -= s
-        # Drawn into _zeros: psi's images are never built, so this is where
-        # a psi target too large to allocate becomes DimensionMismatch.
-        bs = rng.standard_normal(out=_zeros(s, psi.target_dim, phi.target_dim))
+        bs = rng.standard_normal(out=_zeros(s, psi.used, phi.used))
         bs *= rng.uniform(0.05, 2.0, size=(s, 1, 1))
         r = _residuals(bs, pairs)
         columns = np.einsum("sgij,sgij->sgj", r, r).max(axis=(1, 2), initial=0.0)
@@ -680,11 +722,16 @@ def _symmetric(phi: OrderZeroMap, psi: OrderZeroMap) -> bool:
 def _residuals(bs: np.ndarray, pairs: Sequence[Tuple[Corner, Corner]]) -> np.ndarray:
     """r[s, g] = bs[s]^T psi(g) bs[s] - phi(g) for a stack of witnesses, with
     psi(g) and phi(g) given by their corners: only the rows of bs that psi(g)
-    meets take part, and phi(g) is subtracted on its corner alone."""
+    meets take part.  The images phi(g), as wide as a witness, are written
+    into one stack and subtracted in one pass, which walks r in memory
+    order; subtracting each corner from r[:, g] would stride across the
+    candidates."""
     r = np.empty((len(bs), len(pairs)) + bs.shape[-1:] * 2)
+    images = np.zeros(r.shape[1:])
     for g, ((rows, cols, h), (phi_rows, phi_cols, k)) in enumerate(pairs):
         np.matmul(bs[:, rows].swapaxes(-1, -2) @ h, bs[:, cols], out=r[:, g])
-        r[:, g, phi_rows, phi_cols] -= k
+        images[g, phi_rows, phi_cols] = k
+    r -= images
     return r
 
 

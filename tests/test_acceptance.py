@@ -52,6 +52,7 @@ from cuntz.orderzero import (
     oz_kronecker_rank,
     oz_multiplicity,
     oz_new,
+    oz_verify_witness,
     oz_witness_search,
 )
 from cuntz.waxioms import check_wm_axioms, check_wo_axioms, extnat_fragment, extnat_scaling
@@ -254,6 +255,7 @@ def test_criterion_3_comparison_end_to_end():
     t0 = time.perf_counter()
     rng = random.Random(3)
     witnessed = obstructed = 0
+    lowest = float("inf")
 
     for case in range(200):
         points = rng.randint(1, 4)
@@ -265,6 +267,8 @@ def test_criterion_3_comparison_end_to_end():
         if oz_cuntz_leq_commutative(phi, psi):
             rep = oz_construct_witness(phi, psi)
             assert rep.residual < 1e-6
+            # the zero-padded witness verifies on the same used corner
+            assert oz_verify_witness(phi, psi, rep.dense()).residual == rep.residual
             witnessed += 1
         else:
             cert = comparison_certificate(phi, psi)
@@ -273,10 +277,12 @@ def test_criterion_3_comparison_end_to_end():
             assert lhs > rhs
             best = oz_witness_search(phi, psi, samples=10**4, seed=case)
             assert best >= 0.1
+            lowest = min(lowest, best)
             obstructed += 1
 
     assert witnessed and obstructed
-    report(3, t0, 20.0, f"{witnessed} witnesses, {obstructed} obstructions")
+    note = f"{witnessed} witnesses, {obstructed} obstructions, lowest search best {lowest:.4f}"
+    report(3, t0, 20.0, note)
 
 
 # ---------------------------------------------------------------------------

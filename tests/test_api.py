@@ -200,12 +200,13 @@ def test_exact_layer_does_not_load_numpy():
 # Each subcommand loads only its own layer: only the oz subcommands load
 # numpy (through cuntz.orderzero), and only eval and classify the catalog.
 # Without CX values, eval and classify load neither the multiplicity layer
-# nor dataclasses.  Each set below names modules that a subcommand must
-# leave unloaded.
+# nor dataclasses, and the oz subcommands load neither either.  Each set
+# below names modules that a subcommand must leave unloaded.
 NUMPY = {"numpy", "cuntz.orderzero"}
 NUMPY_OR_CATALOG = NUMPY | {"cuntz.catalog"}
-NUMPY_OR_MULTIPLICITY = NUMPY | {"dataclasses", "cuntz.multiplicity"}
-CATALOG_OR_WAXIOMS = {"cuntz.catalog", "cuntz.waxioms"}
+MULTIPLICITY = {"dataclasses", "cuntz.multiplicity"}
+NUMPY_OR_MULTIPLICITY = NUMPY | MULTIPLICITY
+OTHER_LAYERS = MULTIPLICITY | {"cuntz.catalog", "cuntz.waxioms"}
 
 
 def _diag_map(target_dim, diags):
@@ -230,9 +231,9 @@ def _diag_map(target_dim, diags):
             (["classify", "CX(a,b)", "CX(p,q)"], NUMPY_OR_MULTIPLICITY),
             (["compare", "{space}", "{nu}", "{mu}"], NUMPY_OR_CATALOG),
             (["axioms", "extnat", "--bound", "4"], NUMPY_OR_CATALOG),
-            (["oz", "check", "{phi}"], CATALOG_OR_WAXIOMS),
-            (["oz", "compare", "{phi}", "{psi}"], CATALOG_OR_WAXIOMS),
-            (["oz", "witness", "{phi}", "{psi}"], CATALOG_OR_WAXIOMS),
+            (["oz", "check", "{phi}"], OTHER_LAYERS),
+            (["oz", "compare", "{phi}", "{psi}"], OTHER_LAYERS),
+            (["oz", "witness", "{phi}", "{psi}"], OTHER_LAYERS),
         ]
     ],
 )

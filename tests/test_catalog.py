@@ -167,11 +167,11 @@ def test_one_absorption_step_strips_every_factor(n, capsys):
 def _looping_on_z(monkeypatch):
     """Patch the matcher so that W(Z, Z) rewrites to itself, forever; other
     queries match as before."""
-    real = catalog._matches
+    real = catalog._first_match
     loop = catalog._Rule("loop", "rewrites a query to itself", 1, lambda q: q)
     z = parse_algebra("Z")
     monkeypatch.setattr(
-        catalog, "_matches", lambda q: [(loop, q)] if q == Query("W", z, z) else real(q)
+        catalog, "_first_match", lambda q: (loop, q) if q == Query("W", z, z) else real(q)
     )
 
 
@@ -355,6 +355,20 @@ def test_rule_order_confluence(variant, a, b):
         parse_algebra(a), parse_algebra(b)
     )
     assert values == {evaluated}
+
+
+def test_rules_are_sorted_by_class():
+    # The engine applies the first rule that matches.  That is the first
+    # rule of the lowest matching class only while RULES is sorted by class.
+    klasses = [rule.klass for rule in catalog.RULES]
+    assert klasses == sorted(klasses)
+
+
+@pytest.mark.parametrize("variant,a,b", CONFLUENT_QUERIES)
+def test_the_first_match_heads_the_matches(variant, a, b):
+    q = catalog._normalize_query(Query(variant, parse_algebra(a), parse_algebra(b)))
+    matched = catalog._matches(q)
+    assert catalog._first_match(q) == (matched[0] if matched else None)
 
 
 def test_presentation_split_on_function_domain_with_matrix_target():

@@ -421,7 +421,9 @@ def test_witness_search_is_deterministic_per_seed():
 
 def reference_witness_search(phi, psi, samples, seed):
     """The search before batching: einsum conjugation, max-entry screening
-    and one op_norm per candidate and generator."""
+    and one op_norm per candidate and generator.  Each candidate is drawn
+    on the used corner, as the search draws it, and zero-padded to the
+    full targets."""
     rng = np.random.default_rng(seed)
     gens = generators(phi.domain)
     psi_g = np.stack([psi.apply(g) for g in gens])
@@ -431,7 +433,8 @@ def reference_witness_search(phi, psi, samples, seed):
     while left > 0:
         s = min(512, left)
         left -= s
-        bs = rng.standard_normal((s, psi.target_dim, phi.target_dim))
+        bs = np.zeros((s, psi.target_dim, phi.target_dim))
+        bs[:, : psi.used, : phi.used] = rng.standard_normal((s, psi.used, phi.used))
         bs *= rng.uniform(0.05, 2.0, size=(s, 1, 1))
         r = np.einsum("sji,gjk,skl->sgil", bs, psi_g, bs) - phi_g[None, :, :, :]
         lower = np.abs(r).reshape(s, len(gens), -1).max(axis=2).max(axis=1)
@@ -593,19 +596,71 @@ def test_witness_search_with_zero_corners_matches_reference(mode, points, dims, 
 def test_a_target_too_large_for_a_dense_matrix_is_a_dimension_mismatch():
     # 10^30 only: numpy refuses that shape at once, while 10^4 would
     # allocate gigabytes.
+    # apply builds the dense image, and the check probes through apply.
     big = oz_new(findim(1, 1), 10**30, [1, 0], [(F(1, 2),), ()], "diag")
-    ok = diag_map(findim(1, 1), 3, (F(1),), (F(1, 2),))
-    assert oz_cuntz_leq_commutative(big, ok)  # ranks need no matrix
-    calls = [
+    for call in (
         lambda: big.apply([np.eye(1), np.eye(1)]),
-        lambda: oz_construct_witness(big, ok),
-        lambda: oz_witness_search(big, ok, samples=10),
-        lambda: oz_witness_search(ok, big, samples=10),
         lambda: oz_check_order_zero(big, trials=1),
-    ]
-    for call in calls:
+    ):
         with pytest.raises(DimensionMismatch, match="target_dim"):
             call()
+
+
+def with_target(phi, target_dim):
+    return oz_new(phi.domain, target_dim, phi.mults, phi.blocks, phi.mode)
+
+
+def test_the_witness_at_a_huge_target_is_the_witness_on_the_used_corner():
+    # Search, construction and verification never leave the used corner,
+    # so a target of 10^30 gives exactly what a target of u gives.
+    phi = oz_new(findim(1, 1), 10**30, [1, 0], [(F(1, 2),), ()], "diag")
+    psi = oz_new(findim(1, 1), 10**30, [2, 1], [(F(1), F(1, 4)), (F(1, 2),)], "diag")
+    small_phi, small_psi = with_target(phi, phi.used), with_target(psi, psi.used)
+    assert oz_cuntz_leq_commutative(phi, psi)  # ranks need no matrix
+    for a, b, small_a, small_b in ((phi, psi, small_phi, small_psi),
+                                   (psi, phi, small_psi, small_phi)):
+        assert oz_witness_search(a, b, samples=600, seed=3) == oz_witness_search(
+            small_a, small_b, samples=600, seed=3
+        )
+    report, small = oz_construct_witness(phi, psi), oz_construct_witness(small_phi, small_psi)
+    assert report.shape == (10**30, 10**30)
+    assert report.corner.tobytes() == small.corner.tobytes()
+    assert report.residual == small.residual and report.passed
+    with pytest.raises(DimensionMismatch, match="target_dim"):
+        report.dense()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    mode=st.sampled_from(["diag", "psd"]),
+    points=st.integers(1, 3),
+    dims=st.tuples(st.integers(6, 8), st.integers(4, 8)),  # phi's ranks fit
+    pads=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    seed=st.integers(0, 2**16),
+)
+def test_unused_dimensions_change_no_witness_value(mode, points, dims, pads, seed):
+    rng = np.random.default_rng(seed)
+    phi, psi = obstructed_pair(rng, mode, points, *dims)
+    wide_phi = with_target(phi, phi.target_dim + pads[0])
+    wide_psi = with_target(psi, psi.target_dim + pads[1])
+    # search, both ways: the obstructed one and the other
+    for a, b, wide_a, wide_b in ((phi, psi, wide_phi, wide_psi), (psi, phi, wide_psi, wide_phi)):
+        assert oz_witness_search(a, b, 600, seed) == oz_witness_search(wide_a, wide_b, 600, seed)
+    # construction, on the dominated pair phi <= phi (+) psi
+    top = direct_sum(phi, psi)
+    wide_top = with_target(top, top.target_dim + pads[1])
+    report = oz_construct_witness(phi, top)
+    wide = oz_construct_witness(wide_phi, wide_top)
+    assert wide.corner.tobytes() == report.corner.tobytes()
+    assert wide.residual == report.residual
+    assert wide.shape == (wide_top.target_dim, wide_phi.target_dim)
+    # verification of a dense witness, zero-padded; and of the padded corner
+    b = rng.standard_normal((psi.target_dim, phi.target_dim))
+    padded = np.zeros((wide_psi.target_dim, wide_phi.target_dim))
+    padded[: psi.target_dim, : phi.target_dim] = b
+    assert (oz_verify_witness(wide_phi, wide_psi, padded).residual
+            == oz_verify_witness(phi, psi, b).residual)
+    assert oz_verify_witness(wide_phi, wide_top, wide.dense()).residual == wide.residual
 
 
 def test_search_and_verify_accept_an_empty_target():
@@ -678,9 +733,11 @@ def test_witness_construction_on_a_non_commutative_domain():
     assert report.passed and report.residual < 1e-12
     # b = c (x) 1_2 with c = [[sqrt(1/2)], [0]]: c on the rows 0, 2 and the
     # column 0, and again on the rows 1, 3 and the column 1
+    # (the used corner is psi's 4 rows by phi's 2 columns)
     expected = np.zeros((5, 5))
     expected[0, 0] = expected[1, 1] = np.sqrt(0.5)
-    assert np.allclose(report.witness, expected, atol=1e-15)
+    assert report.corner.shape == (4, 2) and report.shape == (5, 5)
+    assert np.allclose(report.dense(), expected, atol=1e-15)
 
 
 def test_comparison_needs_a_common_domain():

@@ -96,7 +96,7 @@ EXAMPLES = [
     findim(1, 2),
     oz_new(findim(1, 1), 3, [1, 1], [["1/2"], ["1"]]),
     OrthogonalityReport(True, 0.0, 5, 1e-9),
-    WitnessReport(np.zeros((2, 2)), 0.0, 1e-6),
+    WitnessReport(np.zeros((2, 2)), (3, 2), 0.0, 1e-6),
     EpsRankReport(1, 2),
     HandelmanReport(np.eye(2), 1.0, 0.0),
 ]
