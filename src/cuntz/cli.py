@@ -226,7 +226,12 @@ def cmd_oz_eps(args) -> int:
 
 
 def cmd_oz_compare(args) -> int:
-    from .orderzero import OrderZeroError, comparison_certificate, oz_construct_witness
+    from .orderzero import (
+        OrderZeroError,
+        comparison_certificate,
+        obstruction_margin,
+        oz_construct_witness,
+    )
 
     phi = _load_map(args.phi)
     psi = _load_map(args.psi)
@@ -235,6 +240,7 @@ def cmd_oz_compare(args) -> int:
         below = cert is None
         above = comparison_certificate(psi, phi) is None
         report = oz_construct_witness(phi, psi, tol=args.tol) if below else None
+        margin = None if below else obstruction_margin(phi, psi)
     except OrderZeroError as exc:
         raise CliInputError(str(exc)) from None
     verdict = _VERDICTS[(below, above)]
@@ -252,7 +258,9 @@ def cmd_oz_compare(args) -> int:
     else:
         point, lhs, rhs = cert
         doc["certificate"] = {"point": point, "phi_rank": lhs, "psi_rank": rhs}
+        doc["obstruction_margin"] = margin
         lines.append(f"rank exceeds at {point}: {lhs} > {rhs}")
+        lines.append(f"obstruction margin {margin:.3e} (no witness residual is below it)")
     _emit(doc, lines, args.format)
     return code
 

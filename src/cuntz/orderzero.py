@@ -18,7 +18,10 @@ Every spectral question reads one cached eigensystem per block,
 positive entry counts, in psd mode every eigenvalue above 1e-10 counts.
 Comparison, witness construction, epsilon cuts and epsilon ranks all use
 this rule; the ranks and the multiplicity profile are counted once per map
-(``OrderZeroMap.ranks`` and ``OrderZeroMap.multiplicity``).
+(``OrderZeroMap.ranks`` and ``OrderZeroMap.multiplicity``).  Float work reads
+each block as a read-only float matrix, converted once per map
+(``OrderZeroMap.dense_blocks``); a psd block is copied from the caller's
+array, so a later write to that array cannot change the map.
 """
 
 from __future__ import annotations
@@ -153,14 +156,28 @@ class OrderZeroMap(Record):
             acc += m * n
         return tuple(out)
 
-    def block_dense(self, i: int) -> np.ndarray:
-        h = self.blocks[i]
+    @cached_property
+    def dense_blocks(self) -> Tuple[np.ndarray, ...]:
+        """Every H_i as a read-only float matrix, converted once per map."""
         if self.mode == DIAG:
-            return np.diag([float(x) for x in h]) if h else np.zeros((0, 0))
-        return np.asarray(h, dtype=float)
+            return tuple(_frozen(np.diag([float(x) for x in h])) for h in self.blocks)
+        return tuple(np.asarray(h, dtype=float) for h in self.blocks)
+
+    def block_dense(self, i: int) -> np.ndarray:
+        """H_i as a read-only float matrix."""
+        return self.dense_blocks[i]
 
     def apply(self, element: Element) -> np.ndarray:
-        """Evaluate the map on a domain element, given block by block.
+        """Evaluate the map on a domain element, given block by block: the
+        image on the used corner, zero-padded to the target dimension."""
+        corner = self._used_image(element)
+        out = _zeros(self.target_dim, self.target_dim)
+        out[: self.used, : self.used] = corner
+        return out
+
+    def _used_image(self, element: Element) -> np.ndarray:
+        """The image of ``apply`` on its used corner, the first u rows and
+        columns, outside which it vanishes.
 
         Block i of the image is the Kronecker product H_i (x) a_i, built as
         one broadcast product of its entries."""
@@ -168,14 +185,14 @@ class OrderZeroMap(Record):
             raise DimensionMismatch(
                 f"element has {len(element)} blocks, domain has {len(self.domain.blocks)}"
             )
-        out = _zeros(self.target_dim, self.target_dim)
+        out = np.zeros((self.used, self.used))
         for i, (m, n, off) in enumerate(zip(self.mults, self.domain.blocks, self.offsets)):
             if m == 0:
                 continue
             a = np.atleast_2d(np.asarray(element[i], dtype=float))
             if a.shape != (n, n):
                 raise DimensionMismatch(f"block {i} must be {n}x{n}, got {a.shape}")
-            h = self.block_dense(i)
+            h = self.dense_blocks[i]
             piece = h[:, None, :, None] * a[None, :, None, :]
             out[off : off + m * n, off : off + m * n] = piece.reshape(m * n, m * n)
         return out
@@ -190,7 +207,7 @@ class OrderZeroMap(Record):
         """
         if self.mode == DIAG:
             return tuple((h, np.eye(len(h))) for h in self.blocks)
-        return tuple(np.linalg.eigh(self.block_dense(i)) for i in range(len(self.blocks)))
+        return tuple(np.linalg.eigh(h) for h in self.dense_blocks)
 
     @property
     def cutoff(self):
@@ -219,6 +236,12 @@ class OrderZeroMap(Record):
             raise NonCommutativeDomain("multiplicity profiles need a commutative domain")
         atoms = {p: ExtNat(r) for p, r in zip(self.domain.point_labels, self.ranks) if r}
         return mf(self.domain.spectrum(), atoms)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, made read-only."""
+    a.setflags(write=False)
+    return a
 
 
 def _zeros(*shape: int) -> np.ndarray:
@@ -267,7 +290,9 @@ def oz_new(
                 )
             stored.append(entries)
         else:
-            h = np.asarray(raw, dtype=float)
+            # A copy: a later write to the caller's array must not change the
+            # map behind its cached spectrum and ranks.
+            h = _frozen(np.array(raw, dtype=float))
             if h.shape != (m, m):
                 raise DimensionMismatch(f"block {i} must be {m}x{m}, got {h.shape}")
             if not np.isfinite(h).all():
@@ -311,8 +336,12 @@ def oz_check_order_zero(
     Accepts any object with ``domain`` and ``apply``; pairs are supported on
     disjoint coordinate sets (inside one block or across two blocks), so
     their product vanishes in the domain and must vanish in the image.  Only
-    the nonzero support of the two images is multiplied and normed.
+    the nonzero support of the two images is multiplied and normed.  An
+    ``OrderZeroMap`` gives its images on the used corner, where that support
+    lies, so the report is the dense one and the cost does not grow with
+    ``target_dim``; any other object is probed through ``apply``.
     """
+    image = phi._used_image if isinstance(phi, OrderZeroMap) else phi.apply
     rng = random.Random(seed)
     sizes = phi.domain.blocks
     k = len(sizes)
@@ -341,8 +370,8 @@ def oz_check_order_zero(
             rng.shuffle(coords)
             a_blocks[i] = _corner_psd(n, coords[:cut], rng)
             b_blocks[i] = _corner_psd(n, coords[cut:], rng)
-        va = phi.apply(a_blocks)
-        vb = phi.apply(b_blocks)
+        va = image(a_blocks)
+        vb = image(b_blocks)
         worst = max(worst, op_norm(_support_product(va, vb)))
         done += 1
     return OrthogonalityReport(worst <= tol, worst, done, tol)
@@ -384,7 +413,7 @@ def oz_eps_cut(phi: OrderZeroMap, eps) -> OrderZeroMap:
         blocks = tuple(tuple(max(x - e, Fraction(0)) for x in w) for w, _ in phi.spectrum)
     else:
         cuts = ((v * np.clip(w - e, 0.0, None)) @ v.T for w, v in phi.spectrum)
-        blocks = tuple((m + m.T) / 2 for m in cuts)
+        blocks = tuple(_frozen((m + m.T) / 2) for m in cuts)
     return OrderZeroMap(phi.domain, phi.target_dim, phi.mults, blocks, phi.mode)
 
 
@@ -474,7 +503,7 @@ def _witness_residual(phi: OrderZeroMap, psi: OrderZeroMap, b: np.ndarray) -> fl
     columns that starts with phi's used ones, in order: every other row and
     column of every residual is zero.  All generators go through the
     residual kernel of ``oz_witness_search`` and one stacked exact norm."""
-    r = _residuals(b[None], _generator_images(phi, psi))
+    r = _residuals(b[None], _generator_images(phi, psi, psi.dense_blocks))
     return float(_op_norms(r, _symmetric(phi, psi)).max())
 
 
@@ -629,19 +658,29 @@ def oz_witness_search(
     """Best residual over random witness candidates; deterministic per seed.
 
     Candidates are Gaussian matrices with random scaling, drawn in chunks
-    of 512 on the used corner only: psi's first u(psi) rows, the only ones
-    that psi(g) meets, and phi's first u(phi) columns.  Compressing a
-    candidate of the full shape to phi's used columns compresses every
-    residual to that corner, which never raises its norm, so a corner draw
-    loses nothing, and unused dimensions cost nothing.  A generator g whose
-    corner of psi is zero (multiplicity 0, or a block of zeros) has the
+    of 512 on the used corner only, and there in psi's eigenbasis.  A
+    candidate b meets psi(g) only in psi's first u(psi) rows, and compressing
+    it to phi's first u(phi) columns compresses every residual to that
+    corner, which never raises its norm, so unused dimensions cost nothing.
+    On the rows of block i, b^T (H_i (x) E_rc) b reads b only through
+    Z = V^T b on each of the n_i row sets of the block, V the eigenvectors
+    of H_i that ``ranks`` counts, and there H_i acts as diag(lambda) of
+    their eigenvalues.  So Z is drawn in place of b: rank(H_i) n_i rows
+    instead of m_i n_i.  V has orthonormal columns and a Gaussian matrix is
+    rotation invariant, so V^T of a Gaussian b is Gaussian, and the best of
+    ``samples`` candidates has the distribution it had when b itself was
+    drawn; the values per seed differ.
+
+    A generator g whose psi corner is zero (multiplicity 0, rank 0 under the
+    rank rule, such as a psd block of entries below 1e-10, or exact
+    eigenvalues below the float range) has the
     residual -phi(g) for every candidate, of norm ||H_i|| for phi's block
     i: the largest is the floor, below which no candidate can go.  The
     other generators go through one batched residual kernel,
-    r = B^T C_g B - phi(g), with C_g the corner of psi(g) and B the matching
-    rows of the candidate.  The largest column 2-norm of r, raised to the
-    floor, is a lower bound of a candidate's value, so a candidate whose
-    bound is not below the running best cannot improve it.
+    r = Z^T diag(lambda) Z - phi(g), on the matching rows of the candidate.
+    The largest column 2-norm of r, raised to the floor, is a lower bound
+    of a candidate's value, so a candidate whose bound is not below the
+    running best cannot improve it.
     Exact norms (stacked ``eigvalsh`` where every residual is symmetric,
     SVDs otherwise) are taken in ascending order of the bound: the lowest
     alone, then batches of 16, until the next bound reaches the running
@@ -651,18 +690,20 @@ def oz_witness_search(
     """
     rng = np.random.default_rng(seed)
     symmetric = _symmetric(phi, psi)
-    pairs = [(c, d) for c, d in _generator_images(phi, psi) if c[2].any()]
-    zero = [i for i in range(len(psi.mults)) if not psi.block_dense(i).any()]
+    diags = [np.diag(_eigpairs(psi, i)[0]) for i in range(len(psi.mults))]
+    pairs = [(c, d) for c, d in _generator_images(phi, psi, diags) if c[2].any()]
+    zero = [i for i, lam in enumerate(diags) if not lam.any()]
     floor = max((abs(float(x)) for i in zero for x in phi.spectrum[i][0]), default=0.0)
     if not pairs:
         return floor if samples > 0 else inf
+    rows = sum(len(lam) * n for lam, n in zip(diags, psi.domain.blocks))
     best = inf
     chunk, batch = 512, 16
     left = samples
     while left > 0 and best > floor:
         s = min(chunk, left)
         left -= s
-        bs = rng.standard_normal(out=_zeros(s, psi.used, phi.used))
+        bs = rng.standard_normal(out=_zeros(s, rows, phi.used))
         bs *= rng.uniform(0.05, 2.0, size=(s, 1, 1))
         r = _residuals(bs, pairs)
         columns = np.einsum("sgij,sgij->sgj", r, r).max(axis=(1, 2), initial=0.0)
@@ -678,31 +719,55 @@ def oz_witness_search(
     return best
 
 
+def obstruction_margin(phi: OrderZeroMap, psi: OrderZeroMap) -> float:
+    """max_i sigma_{r_i + 1}(H_i) over phi's blocks, r_i the rank of psi's
+    block i: a lower bound on the residual of every witness candidate.
+
+    b^T psi(E_11) b has rank at most r_i on the unit E_11 of block i, and
+    phi(E_11) has the singular values of H_i, so by Eckart-Young-Mirsky no
+    candidate comes closer to it than the (r_i + 1)-th of them (0 where H_i
+    has no more).  It is 0 when phi <= psi up to psd eigenvalues below the
+    cutoff, and exact in diag mode up to the final float conversion.
+    """
+    if phi.domain != psi.domain:
+        raise DomainMismatch("the obstruction margin needs a common domain")
+    margin = 0
+    for (w, _), r in zip(phi.spectrum, psi.ranks):
+        sv = sorted((abs(x) for x in w), reverse=True)
+        if r < len(sv):
+            margin = max(margin, sv[r])
+    return _float(margin)
+
+
 def _generator_images(
-    phi: OrderZeroMap, psi: OrderZeroMap
+    phi: OrderZeroMap, psi: OrderZeroMap, psi_blocks: Sequence[np.ndarray]
 ) -> List[Tuple[Corner, Corner]]:
-    """The corners of psi(g) and phi(g) for every matrix-unit generator g."""
+    """The corners of psi(g) and phi(g) for every matrix-unit generator g,
+    psi's laid out from ``psi_blocks`` in place of its own blocks."""
     if phi.domain != psi.domain:
         raise DomainMismatch("the generator images need a common domain")
-    return list(zip(_corners(psi), _corners(phi)))
+    sizes = phi.domain.blocks
+    return list(zip(_corners(psi_blocks, sizes), _corners(phi.dense_blocks, sizes)))
 
 
-def _corners(phi: OrderZeroMap) -> List[Corner]:
-    """phi(g) for every matrix unit g as (rows, columns, H_i): block by
-    block, then row by row.
+def _corners(blocks: Sequence[np.ndarray], sizes: Sequence[int]) -> List[Corner]:
+    """The image of every matrix unit g as (rows, columns, H_i) under the
+    map whose block i is ``blocks[i]`` (of multiplicity its size) on a
+    domain block of size ``sizes[i]``: block by block, then row by row.
 
     The image of the unit E_rc of block i is H_i (x) E_rc: H_i itself on the
     rows off+r, off+r+n, ... and the columns off+c, off+c+n, ... of the
     block's corner, and zero everywhere else.
     """
-    out = []
-    for i, (m, n, off) in enumerate(zip(phi.mults, phi.domain.blocks, phi.offsets)):
-        h, end = phi.block_dense(i), off + m * n
+    out, off = [], 0
+    for h, n in zip(blocks, sizes):
+        end = off + len(h) * n
         out += [
             (slice(off + r, end, n), slice(off + c, end, n), h)
             for r in range(n)
             for c in range(n)
         ]
+        off = end
     return out
 
 

@@ -45,6 +45,8 @@ from cuntz.orderzero import (
     SCALARS,
     comparison_certificate,
     findim,
+    obstruction_margin,
+    oz_check_order_zero,
     oz_construct_witness,
     oz_cuntz_leq_commutative,
     oz_eps_rank_inequality,
@@ -251,12 +253,10 @@ def test_criterion_2_mf_leq_oracles():
 # ---------------------------------------------------------------------------
 # 3. Comparison theorem end-to-end: witness or obstruction.
 
-def test_criterion_3_comparison_end_to_end():
-    t0 = time.perf_counter()
+def criterion_3_corpus():
+    """The 200 seeded pairs of criterion 3, as (case, phi, psi): even cases
+    dominated, odd ones drawn independently."""
     rng = random.Random(3)
-    witnessed = obstructed = 0
-    lowest = float("inf")
-
     for case in range(200):
         points = rng.randint(1, 4)
         if case % 2 == 0:
@@ -264,6 +264,15 @@ def test_criterion_3_comparison_end_to_end():
         else:
             phi = random_diag_map(rng, points)
             psi = random_diag_map(rng, points)
+        yield case, phi, psi
+
+
+def test_criterion_3_comparison_end_to_end():
+    t0 = time.perf_counter()
+    witnessed = obstructed = 0
+    lowest = float("inf")
+
+    for case, phi, psi in criterion_3_corpus():
         if oz_cuntz_leq_commutative(phi, psi):
             rep = oz_construct_witness(phi, psi)
             assert rep.residual < 1e-6
@@ -277,12 +286,31 @@ def test_criterion_3_comparison_end_to_end():
             assert lhs > rhs
             best = oz_witness_search(phi, psi, samples=10**4, seed=case)
             assert best >= 0.1
+            # Eckart-Young: no candidate beats the margin of the ranks
+            assert best >= obstruction_margin(phi, psi) - 1e-12
             lowest = min(lowest, best)
             obstructed += 1
 
     assert witnessed and obstructed
     note = f"{witnessed} witnesses, {obstructed} obstructions, lowest search best {lowest:.4f}"
     report(3, t0, 20.0, note)
+
+
+class DenseProbe:
+    """A map seen through ``domain`` and ``apply`` alone, which the
+    order-zero check probes through the dense, zero-padded images."""
+
+    def __init__(self, phi):
+        self.domain, self.apply = phi.domain, phi.apply
+
+
+def test_criterion_3_corpus_checks_as_the_dense_probe():
+    # The check on the used corner gives the dense probe's report, to the bit.
+    for case, phi, psi in criterion_3_corpus():
+        for m in (phi, psi):
+            report = oz_check_order_zero(m, trials=10, seed=case)
+            assert report == oz_check_order_zero(DenseProbe(m), trials=10, seed=case)
+            assert report.passed
 
 
 # ---------------------------------------------------------------------------

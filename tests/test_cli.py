@@ -271,6 +271,20 @@ def test_oz_compare_failure_carries_certificate(phi_file, psi_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "geq"
     assert doc["certificate"] == {"point": "x1", "phi_rank": 3, "psi_rank": 2}
+    # the third largest entry of (1, 1/2, 1/4): rank 2 cannot reach it
+    assert doc["obstruction_margin"] == 0.25
+
+
+def test_oz_compare_prints_the_obstruction_margin(phi_file, psi_file, capsys):
+    assert main(["oz", "compare", psi_file, phi_file]) == 4
+    assert capsys.readouterr().out.splitlines() == [
+        "geq",
+        "rank exceeds at x1: 3 > 2",
+        "obstruction margin 2.500e-01 (no witness residual is below it)",
+    ]
+    # a dominated pair prints no margin
+    assert main(["oz", "compare", phi_file, psi_file, "--format", "json"]) == 0
+    assert "obstruction_margin" not in json.loads(capsys.readouterr().out)
 
 
 def test_oz_witness_round_trip(phi_file, psi_file, capsys):
@@ -377,22 +391,23 @@ def huge_and_ok(tmp_path):
     return write(tmp_path, "big.json", big), write(tmp_path, "ok.json", ok)
 
 
-@pytest.mark.parametrize("command", ["compare", "witness"])
+@pytest.mark.parametrize("command", ["compare", "witness", "check"])
 def test_oz_huge_target_is_a_value_in_text(tmp_path, capsys, command):
-    # the witness is built and verified on the used corner alone
-    assert main(["oz", command, *huge_and_ok(tmp_path)]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("leq\n" if command == "compare" else "witness accepted: ")
-
-
-@pytest.mark.parametrize("command", ["witness", "check"])
-def test_oz_target_too_large_for_a_dense_matrix_is_an_input_error(tmp_path, capsys, command):
-    # the witness's JSON lists the zero-padded matrix, and the check probes
-    # through the dense images of apply
+    # the witness is built and verified on the used corner alone, and the
+    # check probes the images on that corner
     big, ok = huge_and_ok(tmp_path)
-    argv = ["oz", "check", big] if command == "check" else [
-        "oz", "witness", big, ok, "--format", "json"]
-    assert main(argv) == 1
+    argv = ["oz", "check", big] if command == "check" else ["oz", command, big, ok]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith({"compare": "leq\n", "witness": "witness accepted: ",
+                           "check": "order zero check: pass "}[command])
+
+
+@pytest.mark.parametrize("command", ["witness"])
+def test_oz_target_too_large_for_a_dense_matrix_is_an_input_error(tmp_path, capsys, command):
+    # the witness's JSON lists the zero-padded matrix
+    big, ok = huge_and_ok(tmp_path)
+    assert main(["oz", command, big, ok, "--format", "json"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: target_dim too large")

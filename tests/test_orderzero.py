@@ -22,6 +22,7 @@ from cuntz.orderzero import (
     ShapeMismatch,
     comparison_certificate,
     findim,
+    obstruction_margin,
     op_norm,
     oz_check_order_zero,
     oz_construct_witness,
@@ -112,6 +113,35 @@ def test_new_rejects_non_finite_blocks(entry):
         oz_new(findim(1), 2, [1], [(entry,)], "diag")
 
 
+def test_a_psd_block_is_copied_from_the_callers_array():
+    # A later write to the caller's array must not reach the map, whose
+    # spectrum and ranks are cached.
+    h = np.array([[0.5]])
+    phi = oz_new(findim(1), 2, [1], [h], "psd")
+    h[0, 0] = 0.0
+    assert phi.ranks == (1,)
+    assert phi.apply([np.eye(1)])[0, 0] == 0.5
+    assert not oz_cuntz_leq_commutative(phi, oz_new(findim(1), 2, [1], [h], "psd"))
+    with pytest.raises(ValueError):
+        phi.blocks[0][0, 0] = 0.0
+
+
+@pytest.mark.parametrize("mode", ["diag", "psd"])
+def test_dense_blocks_are_built_once_and_read_only(mode):
+    phi = random_map(np.random.default_rng(2), mode, [2, 0, 1], 6)
+    dense = phi.dense_blocks
+    assert phi.dense_blocks is dense
+    assert all(phi.block_dense(i) is h for i, h in enumerate(dense))
+    assert [h.shape for h in dense] == [(m, m) for m in phi.mults]
+    for i, h in enumerate(dense):
+        assert not h.flags.writeable
+        want = (np.diag([float(x) for x in phi.blocks[i]]) if mode == "diag"
+                else phi.blocks[i])
+        assert np.array_equal(h, np.asarray(want, dtype=float).reshape(h.shape))
+    cut = oz_eps_cut(phi, F(1, 8))
+    assert not any(h.flags.writeable for h in cut.dense_blocks)
+
+
 def test_apply_is_the_block_kron():
     phi = diag_map(findim(2), 5, (F(1), F(1, 2)))
     a = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -153,7 +183,7 @@ def image_cases():
 
 def padded_images(phi):
     """The generator corners of phi, each written into a zero matrix."""
-    corners = orderzero._corners(phi)
+    corners = orderzero._corners(phi.dense_blocks, phi.domain.blocks)
     out = np.zeros((len(corners), phi.target_dim, phi.target_dim))
     for image, (rows, cols, h) in zip(out, corners):
         image[rows, cols] = h
@@ -175,7 +205,7 @@ def test_zero_padded_corners_are_the_images(case):
     # The residual kernel reads phi(g) and psi(g) only as corners; padded
     # with zeros they must be the images of the np.kron reference.
     psi = image_cases()[case]
-    corners = orderzero._corners(psi)
+    corners = orderzero._corners(psi.dense_blocks, psi.domain.blocks)
     assert len(corners) == len(generators(psi.domain))
     for image, g in zip(padded_images(psi), generators(psi.domain)):
         assert np.array_equal(image, kron_apply(psi, g))  # kron may write -0.0
@@ -250,6 +280,40 @@ def test_order_zero_check_catches_an_overlapping_fake():
     report = oz_check_order_zero(Fake(), trials=20, seed=0)
     assert not report.passed
     assert report.max_violation > 0.1
+
+
+class DenseProbe:
+    """The map behind ``domain`` and ``apply`` alone: the order-zero check
+    then probes it through the dense, zero-padded images of ``apply``."""
+
+    def __init__(self, phi):
+        self.domain, self.apply = phi.domain, phi.apply
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mode=st.sampled_from(["diag", "psd"]),
+    sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    ranks=st.lists(st.integers(0, 2), min_size=3, max_size=3),
+    spare=st.integers(0, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_order_zero_check_on_the_used_corner_equals_the_dense_probe(
+    mode, sizes, ranks, spare, seed
+):
+    # Commutative domains (all sizes 1) and non-commutative ones: the report
+    # of the corner probe is the dense one, to the bit.
+    phi = block_map(np.random.default_rng(seed), mode, sizes, ranks[: len(sizes)], spare)
+    report = oz_check_order_zero(phi, trials=12, seed=seed)
+    assert report == oz_check_order_zero(DenseProbe(phi), trials=12, seed=seed)
+    assert report.passed
+
+
+def test_order_zero_check_reads_no_dense_image(monkeypatch):
+    phi = diag_map(findim(1, 2), 9, (F(1, 2),), (F(1), F(1, 4)))
+    monkeypatch.setattr(type(phi), "apply", lambda self, element: pytest.fail("dense image"))
+    report = oz_check_order_zero(phi, trials=10, seed=3)
+    assert report.passed and report.trials == 10
 
 
 def test_support_product_keeps_the_norm():
@@ -419,23 +483,41 @@ def test_witness_search_is_deterministic_per_seed():
     assert a < 0.5
 
 
+def lift(psi, z):
+    """The candidates on psi's used rows whose eigenbasis rows are z: on
+    the rows of block i, B = V Z on each of its n_i row sets, V the
+    eigenvectors of H_i that ``ranks`` counts, largest eigenvalue first."""
+    s, cols = len(z), z.shape[-1]
+    b = np.zeros((s, psi.used, cols))
+    at = 0
+    for i, (m, n, off) in enumerate(zip(psi.mults, psi.domain.blocks, psi.offsets)):
+        lam, v = orderzero._eigpairs(psi, i)
+        part = z[:, at : at + len(lam) * n].reshape(s, len(lam), n, cols)
+        b[:, off : off + m * n] = np.einsum("mk,sknc->smnc", v, part).reshape(s, m * n, cols)
+        at += len(lam) * n
+    assert at == z.shape[1]
+    return b
+
+
 def reference_witness_search(phi, psi, samples, seed):
     """The search before batching: einsum conjugation, max-entry screening
     and one op_norm per candidate and generator.  Each candidate is drawn
-    on the used corner, as the search draws it, and zero-padded to the
-    full targets."""
+    in psi's eigenbasis on the used corner, as the search draws it, lifted
+    to psi's used rows and zero-padded to the full targets."""
     rng = np.random.default_rng(seed)
     gens = generators(phi.domain)
     psi_g = np.stack([psi.apply(g) for g in gens])
     phi_g = np.stack([phi.apply(g) for g in gens])
+    rows = sum(r * n for r, n in zip(psi.ranks, psi.domain.blocks))
     best = float("inf")
     left = samples
     while left > 0:
         s = min(512, left)
         left -= s
+        z = rng.standard_normal((s, rows, phi.used))
+        z *= rng.uniform(0.05, 2.0, size=(s, 1, 1))
         bs = np.zeros((s, psi.target_dim, phi.target_dim))
-        bs[:, : psi.used, : phi.used] = rng.standard_normal((s, psi.used, phi.used))
-        bs *= rng.uniform(0.05, 2.0, size=(s, 1, 1))
+        bs[:, : psi.used, : phi.used] = lift(psi, z)
         r = np.einsum("sji,gjk,skl->sgil", bs, psi_g, bs) - phi_g[None, :, :, :]
         lower = np.abs(r).reshape(s, len(gens), -1).max(axis=2).max(axis=1)
         for idx in np.argsort(lower):
@@ -504,13 +586,46 @@ def test_witness_search_respects_eckart_young(mode, points, dims, seed):
     # phi(e_i) than the (rank psi_i + 1)-th singular value of H^phi_i.
     rng = np.random.default_rng(seed)
     phi, psi = obstructed_pair(rng, mode, points, *dims)
-    margin = 0.0
-    for i in range(points):
-        sv = np.linalg.svd(phi.block_dense(i), compute_uv=False) if phi.mults[i] else []
-        r = psi.point_rank(i)
-        margin = max(margin, float(sv[r]) if r < len(sv) else 0.0)
+    margin = obstruction_margin(phi, psi)
     assert margin >= 0.25 - 1e-12
     assert oz_witness_search(phi, psi, samples=600, seed=seed) >= margin - 1e-12
+
+
+def svd_margin(phi, psi):
+    """max_i sigma_{r_i + 1}(H_i) from numpy's SVD of phi's blocks."""
+    margin = 0.0
+    for i, r in enumerate(psi.ranks):
+        sv = np.linalg.svd(phi.block_dense(i), compute_uv=False) if phi.mults[i] else []
+        margin = max(margin, float(sv[r]) if r < len(sv) else 0.0)
+    return margin
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mode=st.sampled_from(["diag", "psd"]),
+    sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    phi_ranks=st.lists(st.integers(0, 2), min_size=3, max_size=3),
+    psi_ranks=st.lists(st.integers(0, 2), min_size=3, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_obstruction_margin_is_the_singular_value_bound(mode, sizes, phi_ranks, psi_ranks, seed):
+    rng = np.random.default_rng(seed)
+    k = len(sizes)
+    phi = block_map(rng, mode, sizes, phi_ranks[:k], 0)
+    psi = block_map(rng, mode, sizes, psi_ranks[:k], 1)
+    margin = obstruction_margin(phi, psi)
+    assert abs(margin - svd_margin(phi, psi)) <= 1e-12
+    assert (margin > 1e-9) == (comparison_certificate(phi, psi) is not None)
+
+
+def test_obstruction_margin_is_exact_in_diag_mode():
+    phi = diag_map(findim(1, 1), 6, (F(1, 3), F(1), F(1, 7)), (F(1, 2), F(1, 5)))
+    psi = diag_map(findim(1, 1), 6, (F(1),), (F(1), F(1)))
+    assert obstruction_margin(phi, psi) == float(F(1, 3))
+    assert obstruction_margin(psi, phi) == 0.0
+    assert obstruction_margin(phi, diag_map(findim(1, 1), 2, (), ())) == 1.0
+    with pytest.raises(DomainMismatch):
+        obstruction_margin(phi, diag_map(findim(1), 2, (F(1),)))
 
 
 def count_calls(monkeypatch, name):
@@ -566,6 +681,45 @@ def test_witness_search_stops_at_the_floor_on_a_mixed_pair(mode, monkeypatch):
     assert abs(best - reference_witness_search(phi, psi, 1300, 5)) <= 1e-12
 
 
+def test_a_psd_block_below_the_cutoff_goes_to_the_floor(monkeypatch):
+    # Every entry of psi's block at x1 is nonzero but below 1e-10, so it has
+    # rank 0 under the rank rule and no candidate rows: every residual at x1
+    # is -phi(e_1), of norm 1, and x2's residual can go below it.
+    tiny = np.array([[3e-11, 1e-11], [1e-11, 3e-11]])
+    psi = oz_new(findim(1, 1), 4, [2, 1], [tiny, np.array([[1.0]])], "psd")
+    assert psi.ranks == (0, 1)
+    phi = diag_map(findim(1, 1), 4, (F(1), F(1, 2)), (F(1, 4),))
+    chunks = count_calls(monkeypatch, "_residuals")
+    best = oz_witness_search(phi, psi, samples=1300, seed=6)
+    monkeypatch.undo()
+    assert chunks == [512] and best == 1.0
+    assert abs(best - reference_witness_search(phi, psi, 1300, 6)) <= 1e-12
+    # with x2 at rank 0 as well, no candidate is drawn at all
+    flat = oz_new(findim(1, 1), 4, [2, 1], [tiny, np.array([[1e-11]])], "psd")
+    assert flat.ranks == (0, 0)
+    normed = count_calls(monkeypatch, "_op_norms")
+    assert oz_witness_search(phi, flat, samples=1300, seed=6) == 1.0
+    assert normed == []
+
+
+def test_the_search_draws_rank_many_rows_per_block(monkeypatch):
+    # psi uses 2 + 3 * 2 = 8 rows, but its blocks have ranks 1 and 2, so a
+    # candidate has 1 + 2 * 2 = 5 rows in psi's eigenbasis.
+    rng = np.random.default_rng(9)
+    psi = oz_new(findim(1, 2), 9, [2, 3], [random_block(rng, "psd", 2, 1),
+                                         random_block(rng, "psd", 3, 2)], "psd")
+    phi = block_map(rng, "diag", [1, 2], [2, 2], 0)
+    shapes = []
+    residuals = orderzero._residuals
+    monkeypatch.setattr(orderzero, "_residuals",
+                        lambda bs, pairs: shapes.append(bs.shape) or residuals(bs, pairs))
+    best = oz_witness_search(phi, psi, samples=600, seed=1)
+    monkeypatch.undo()
+    assert psi.used == 8 and psi.ranks == (1, 2)
+    assert shapes and all(shape[1:] == (5, phi.used) for shape in shapes)
+    assert abs(best - reference_witness_search(phi, psi, 600, 1)) <= 1e-12
+
+
 def with_zero_points(rng, psi, points):
     """psi with a zero corner at each of ``points``: multiplicity 0 or a
     block of zeros, at random."""
@@ -595,15 +749,18 @@ def test_witness_search_with_zero_corners_matches_reference(mode, points, dims, 
 
 def test_a_target_too_large_for_a_dense_matrix_is_a_dimension_mismatch():
     # 10^30 only: numpy refuses that shape at once, while 10^4 would
-    # allocate gigabytes.
-    # apply builds the dense image, and the check probes through apply.
+    # allocate gigabytes.  apply builds the dense image.
     big = oz_new(findim(1, 1), 10**30, [1, 0], [(F(1, 2),), ()], "diag")
-    for call in (
-        lambda: big.apply([np.eye(1), np.eye(1)]),
-        lambda: oz_check_order_zero(big, trials=1),
-    ):
-        with pytest.raises(DimensionMismatch, match="target_dim"):
-            call()
+    with pytest.raises(DimensionMismatch, match="target_dim"):
+        big.apply([np.eye(1), np.eye(1)])
+
+
+def test_the_order_zero_check_at_a_huge_target_is_the_check_on_the_used_corner():
+    big = oz_new(findim(1, 1), 10**30, [1, 0], [(F(1, 2),), ()], "diag")
+    report = oz_check_order_zero(big, trials=20, seed=4)
+    small = with_target(big, big.used)
+    assert report == oz_check_order_zero(DenseProbe(small), trials=20, seed=4)
+    assert report.passed and report.trials == 20
 
 
 def with_target(phi, target_dim):
@@ -813,10 +970,7 @@ def test_comparison_by_block_ranks_on_any_domain(mode, sizes, phi_ranks, psi_ran
     assert cert == (f"x{i + 1}", lhs[i], rhs[i])
     with pytest.raises(PreconditionViolated):
         oz_construct_witness(phi, psi)
-    margin = 0.0
-    for j in range(k):
-        sv = np.linalg.svd(phi.block_dense(j), compute_uv=False)
-        margin = max(margin, float(sv[rhs[j]]) if rhs[j] < len(sv) else 0.0)
+    margin = obstruction_margin(phi, psi)
     assert margin >= 1 / 8 - 1e-12
     assert oz_witness_search(phi, psi, samples=200, seed=seed) >= margin - 1e-12
 
