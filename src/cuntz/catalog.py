@@ -46,10 +46,10 @@ from .record import Record
 from .supernatural import sn_format, sn_parse
 from .supernatural import _is_prime
 
-# The multiplicity layer is imported where CX values need it, so that an
-# evaluation without CX never loads it.
+# The multiplicity layer is imported only by ``compose_product``, which
+# takes a multiplicity function, so that an evaluation never loads it.
 if TYPE_CHECKING:
-    from .multiplicity import MultiplicityFunction, Space
+    from .multiplicity import MultiplicityFunction
 
 DYADIC_SUPERNATURAL = sn_parse("2:inf")
 
@@ -93,24 +93,24 @@ class CarSG(SemigroupValue):
     kind, symbol = "Car", "ℕ₀[1/2]⊔(0,∞)"
 
 
-class _OnSpace(SemigroupValue):
-    space: Space
+class _OnPoints(SemigroupValue):
+    """A monoid of multiplicity functions on the points of a ``CX``, which
+    are always discrete; JSON writes them as a discrete space."""
+
+    points: Tuple[str, ...]
 
     def text(self) -> str:
-        points = ",".join(self.space.points) if self.space.is_discrete else "[0,1]"
-        return f"{self.symbol}({points})"
+        return f"{self.symbol}({','.join(self.points)})"
 
     def fields(self) -> dict:
-        from .multiplicity import space_to_json
-
-        return {"space": space_to_json(self.space)}
+        return {"space": {"kind": "discrete", "points": list(self.points)}}
 
 
-class MfSG(_OnSpace):
+class MfSG(_OnPoints):
     kind = symbol = "Mf"
 
 
-class MfiSG(_OnSpace):
+class MfiSG(_OnPoints):
     kind, symbol = "Mfi", "Mf_i"
 
 
@@ -309,19 +309,12 @@ def _r_kirchberg(q: Query) -> Optional[Outcome]:
     return None
 
 
-def _spectrum(a: CX) -> Space:
-    from .multiplicity import Space
-
-    return Space.discrete(a.points)
-
-
 def _r_homology(q: Query) -> Optional[Outcome]:
     if isinstance(q.a, CX) and isinstance(q.b, Complex):
-        space = _spectrum(q.a)
         if q.variant == "WW":
-            return MfSG(space)
+            return MfSG(q.a.points)
         if q.variant == "W":
-            return MfiSG(space)
+            return MfiSG(q.a.points)
     return None
 
 
@@ -332,12 +325,12 @@ def _r_base_mono(q: Query) -> Optional[Outcome]:
         if _is_dyadic_uhf(q.a):
             return CarSG()
         if isinstance(q.a, CX):
-            return MfiSG(_spectrum(q.a))
+            return MfiSG(q.a.points)
     if q.variant == "Cuof":
         if isinstance(q.a, Complex):
             return ExtNatSG()
         if isinstance(q.a, CX):
-            return MfSG(_spectrum(q.a))
+            return MfSG(q.a.points)
     return None
 
 

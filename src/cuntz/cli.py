@@ -6,9 +6,9 @@ functions over a shared space), classify (isomorphism verdicts), oz
 checks on the extended naturals).
 
 Each handler imports the layer it uses, so a run loads only that layer:
-eval and classify load algebra and catalog, and eval loads multiplicity
-only for CX values; compare loads multiplicity, axioms loads waxioms, and
-only the oz subcommands load orderzero and numpy.  json is loaded only to
+eval and classify load algebra and catalog and never multiplicity, also
+for CX values; compare loads multiplicity, axioms loads waxioms, and only
+the oz subcommands load orderzero and numpy.  json is loaded only to
 read a document or to write JSON.
 
 Exit codes: 0 success, 1 input error, 2 Unknown evaluation, 3 Undecided

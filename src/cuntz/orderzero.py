@@ -13,15 +13,21 @@ zero-padded to the target dimension.  Two numeric modes are supported:
 comparisons are decided exactly; ``psd`` allows arbitrary positive
 semidefinite blocks in floating point.
 
+A psd block is positive, so it is self-adjoint: ``oz_new`` accepts one
+that ``np.allclose`` finds symmetric and stores its symmetric part
+(h + h^T)/2, a new read-only array.  The spectrum, the ranks, ``apply`` and
+every witness residual then read one matrix, and a later write to the
+caller's array cannot change the map.
+
 Every spectral question reads one cached eigensystem per block,
 ``OrderZeroMap.spectrum``, and one rank rule: in diag mode every exact
 positive entry counts, in psd mode every eigenvalue above 1e-10 counts.
-Comparison, witness construction, epsilon cuts and epsilon ranks all use
-this rule; the ranks and the multiplicity profile are counted once per map
-(``OrderZeroMap.ranks`` and ``OrderZeroMap.multiplicity``).  Float work reads
-each block as a read-only float matrix, converted once per map
-(``OrderZeroMap.dense_blocks``); a psd block is copied from the caller's
-array, so a later write to that array cannot change the map.
+The eigenpairs the rule counts are kept once per map, largest first
+(``OrderZeroMap.positive``); the ranks and the multiplicity profile are
+counted from them (``OrderZeroMap.ranks`` and ``OrderZeroMap.multiplicity``),
+and witness construction and search read them.  Float work reads each
+block as a read-only float matrix, converted once per map
+(``OrderZeroMap.dense_blocks``).
 """
 
 from __future__ import annotations
@@ -215,12 +221,21 @@ class OrderZeroMap(Record):
         return 0 if self.mode == DIAG else EIG_CUTOFF
 
     @cached_property
-    def ranks(self) -> Tuple[int, ...]:
-        """The rank of every H_i under the rank rule, counted on first use."""
-        return tuple(sum(1 for x in w if x > self.cutoff) for w, _ in self.spectrum)
+    def positive(self) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+        """The eigenpairs of every H_i that the rank rule counts, largest
+        first: the eigenvalues as floats and the eigenvectors as columns,
+        both read-only, computed on first use."""
+        out = []
+        for w, v in self.spectrum:
+            wf = np.array([float(x) for x in w])
+            order = [j for j in np.argsort(-wf) if w[j] > self.cutoff]
+            out.append((_frozen(wf[order]), _frozen(v[:, order])))
+        return tuple(out)
 
-    def point_rank(self, i: int) -> int:
-        return self.ranks[i]
+    @cached_property
+    def ranks(self) -> Tuple[int, ...]:
+        """The rank of every H_i under the rank rule."""
+        return tuple(len(lam) for lam, _ in self.positive)
 
     @cached_property
     def multiplicity(self) -> MultiplicityFunction:
@@ -242,6 +257,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     """``a`` itself, made read-only."""
     a.setflags(write=False)
     return a
+
+
+def _symmetric_part(h: np.ndarray) -> np.ndarray:
+    """(h + h^T)/2 as a new read-only matrix, symmetric to the bit."""
+    return _frozen((h + h.T) / 2)
 
 
 def _zeros(*shape: int) -> np.ndarray:
@@ -290,16 +310,14 @@ def oz_new(
                 )
             stored.append(entries)
         else:
-            # A copy: a later write to the caller's array must not change the
-            # map behind its cached spectrum and ranks.
-            h = _frozen(np.array(raw, dtype=float))
+            h = np.asarray(raw, dtype=float)
             if h.shape != (m, m):
                 raise DimensionMismatch(f"block {i} must be {m}x{m}, got {h.shape}")
             if not np.isfinite(h).all():
                 raise NotFinite(f"block {i} has a non-finite entry")
             if not np.allclose(h, h.T, atol=EIG_CUTOFF):
                 raise NotPositive(f"block {i} is not symmetric")
-            stored.append(h)
+            stored.append(_symmetric_part(h))
     phi = OrderZeroMap(domain, int(target_dim), mults, tuple(stored), mode)
     for i, (w, _) in enumerate(phi.spectrum):
         low, high = min(w, default=0), max(w, default=0)
@@ -395,17 +413,14 @@ def _random_psd(n: int, rng: random.Random) -> np.ndarray:
 
 
 def _corner_psd(n: int, coords: Sequence[int], rng: random.Random) -> np.ndarray:
-    small = _random_psd(len(coords), rng)
     out = np.zeros((n, n))
-    for a, ca in enumerate(coords):
-        for b, cb in enumerate(coords):
-            out[ca, cb] = small[a, b]
+    out[np.ix_(coords, coords)] = _random_psd(len(coords), rng)
     return out
 
 
 def oz_eps_cut(phi: OrderZeroMap, eps) -> OrderZeroMap:
     """The cut-down (h - eps)+ applied to the structure decomposition; a psd
-    block is averaged with its transpose, so it is symmetric to the bit."""
+    cut is stored as its symmetric part, as ``oz_new`` stores a block."""
     e = Fraction(eps) if phi.mode == DIAG else _float(eps)
     if not e >= 0:  # also refuses NaN
         raise NotPositive("eps must be >= 0")
@@ -413,7 +428,7 @@ def oz_eps_cut(phi: OrderZeroMap, eps) -> OrderZeroMap:
         blocks = tuple(tuple(max(x - e, Fraction(0)) for x in w) for w, _ in phi.spectrum)
     else:
         cuts = ((v * np.clip(w - e, 0.0, None)) @ v.T for w, v in phi.spectrum)
-        blocks = tuple(_frozen((m + m.T) / 2) for m in cuts)
+        blocks = tuple(_symmetric_part(m) for m in cuts)
     return OrderZeroMap(phi.domain, phi.target_dim, phi.mults, blocks, phi.mode)
 
 
@@ -423,11 +438,6 @@ def _float(x) -> float:
         return float(x)
     except OverflowError:
         return inf if x > 0 else -inf
-
-
-def oz_multiplicity(phi: OrderZeroMap) -> MultiplicityFunction:
-    """The multiplicity function of a commutative-domain map (cached per map)."""
-    return phi.multiplicity
 
 
 def oz_cuntz_leq_commutative(phi: OrderZeroMap, psi: OrderZeroMap) -> bool:
@@ -504,7 +514,7 @@ def _witness_residual(phi: OrderZeroMap, psi: OrderZeroMap, b: np.ndarray) -> fl
     column of every residual is zero.  All generators go through the
     residual kernel of ``oz_witness_search`` and one stacked exact norm."""
     r = _residuals(b[None], _generator_images(phi, psi, psi.dense_blocks))
-    return float(_op_norms(r, _symmetric(phi, psi)).max())
+    return float(_op_norms(r, phi.domain.is_commutative).max())
 
 
 def oz_construct_witness(
@@ -512,7 +522,7 @@ def oz_construct_witness(
 ) -> WitnessReport:
     """Build the witness b = (+)_i c_i (x) 1_{n_i} for phi <= psi.
 
-    The eigenvalues of block i that ``ranks`` counts are paired in
+    The eigenpairs of block i that ``positive`` holds are paired in
     decreasing order and scaled by sqrt(lambda/mu) into c_i; c_i (x) 1_n is
     c_i on the n corners of the units E_rr (see ``_corners``).  b is built
     and verified on its used corner, psi's used rows and phi's used
@@ -523,8 +533,7 @@ def oz_construct_witness(
         raise PreconditionViolated("phi is not below psi; no witness exists")
     b = np.zeros((psi.used, phi.used))
     for i, n in enumerate(phi.domain.blocks):
-        lam, vecs_phi = _eigpairs(phi, i)
-        mu, vecs_psi = _eigpairs(psi, i)
+        (lam, vecs_phi), (mu, vecs_psi) = phi.positive[i], psi.positive[i]
         mq, mp = psi.mults[i], phi.mults[i]
         c = np.zeros((mq, mp))
         for x, col, y, row in zip(lam, vecs_phi.T, mu, vecs_psi.T):
@@ -538,14 +547,6 @@ def oz_construct_witness(
             b[rows + r : rows + mq * n : n, cols + r : cols + mp * n : n] = c
     shape = (psi.target_dim, phi.target_dim)
     return WitnessReport(b, shape, _witness_residual(phi, psi, b), tol)
-
-
-def _eigpairs(phi: OrderZeroMap, i: int) -> Tuple[List[float], np.ndarray]:
-    """The positive eigenpairs of H_i, largest first, eigenvalues as floats."""
-    w, v = phi.spectrum[i]
-    wf = np.array([float(x) for x in w])
-    order = [j for j in np.argsort(-wf) if w[j] > phi.cutoff]
-    return wf[order].tolist(), v[:, order]
 
 
 class EpsRankReport(Record):
@@ -649,7 +650,7 @@ def oz_kronecker_rank(phi: OrderZeroMap, psi: OrderZeroMap) -> ExtNat:
     """Rank of the composition representative for scalar-domain maps."""
     if phi.domain != SCALARS or psi.domain != SCALARS:
         raise PreconditionViolated("the Kronecker model needs scalar domains")
-    return ExtNat(phi.point_rank(0)) * ExtNat(psi.point_rank(0))
+    return ExtNat(phi.ranks[0]) * ExtNat(psi.ranks[0])
 
 
 def oz_witness_search(
@@ -664,8 +665,8 @@ def oz_witness_search(
     corner, which never raises its norm, so unused dimensions cost nothing.
     On the rows of block i, b^T (H_i (x) E_rc) b reads b only through
     Z = V^T b on each of the n_i row sets of the block, V the eigenvectors
-    of H_i that ``ranks`` counts, and there H_i acts as diag(lambda) of
-    their eigenvalues.  So Z is drawn in place of b: rank(H_i) n_i rows
+    of H_i in ``positive``, and there H_i acts as diag(lambda) of their
+    eigenvalues.  So Z is drawn in place of b: rank(H_i) n_i rows
     instead of m_i n_i.  V has orthonormal columns and a Gaussian matrix is
     rotation invariant, so V^T of a Gaussian b is Gaussian, and the best of
     ``samples`` candidates has the distribution it had when b itself was
@@ -681,16 +682,17 @@ def oz_witness_search(
     The largest column 2-norm of r, raised to the floor, is a lower bound
     of a candidate's value, so a candidate whose bound is not below the
     running best cannot improve it.
-    Exact norms (stacked ``eigvalsh`` where every residual is symmetric,
-    SVDs otherwise) are taken in ascending order of the bound: the lowest
+    Exact norms (stacked ``eigvalsh`` on a commutative domain, where every
+    generator is a diagonal unit and every residual symmetric, SVDs
+    otherwise) are taken in ascending order of the bound: the lowest
     alone, then batches of 16, until the next bound reaches the running
     best.  Once the best is the floor, no further chunk is drawn; when every
     generator is constant, none is.  The returned minimum is the one an
     exact norm of every candidate would give.
     """
     rng = np.random.default_rng(seed)
-    symmetric = _symmetric(phi, psi)
-    diags = [np.diag(_eigpairs(psi, i)[0]) for i in range(len(psi.mults))]
+    symmetric = phi.domain.is_commutative
+    diags = [np.diag(lam) for lam, _ in psi.positive]
     pairs = [(c, d) for c, d in _generator_images(phi, psi, diags) if c[2].any()]
     zero = [i for i, lam in enumerate(diags) if not lam.any()]
     floor = max((abs(float(x)) for i in zero for x in phi.spectrum[i][0]), default=0.0)
@@ -769,19 +771,6 @@ def _corners(blocks: Sequence[np.ndarray], sizes: Sequence[int]) -> List[Corner]
         ]
         off = end
     return out
-
-
-def _symmetric(phi: OrderZeroMap, psi: OrderZeroMap) -> bool:
-    """Whether every residual b^T psi(g) b - phi(g) is symmetric.
-
-    On a commutative domain every generator is a diagonal unit, so it is
-    when every structure block equals its transpose.  psd blocks are only
-    validated as symmetric to 1e-10, so that is checked exactly, on the
-    bytes: a -0.0 facing a 0.0 merely sends the residuals to the SVD."""
-    return phi.domain.is_commutative and all(
-        f.mode == DIAG or all(h.tobytes() == h.T.tobytes() for h in f.blocks)
-        for f in (phi, psi)
-    )
 
 
 def _residuals(bs: np.ndarray, pairs: Sequence[Tuple[Corner, Corner]]) -> np.ndarray:

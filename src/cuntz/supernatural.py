@@ -5,7 +5,7 @@ the infinite power).  These classify UHF algebras up to isomorphism.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, Tuple
 
 from .extnat import INF, ExtNat
 from .record import Record
@@ -97,15 +97,13 @@ class Supernatural(Record):
         return sn_format(self)
 
 
-def sn_make(pairs: Iterable[Tuple[int, ExtNat]] | Mapping[int, ExtNat]) -> Supernatural:
+def sn_make(pairs: Iterable[Tuple[int, ExtNat]]) -> Supernatural:
     """Build a supernatural number from (prime, exponent) data.
 
     Raises NotPrime, DuplicateBase, or ZeroExponent on malformed input, and
     PrimalityNotCertified for a base too large to certify as prime.
     The empty product is the supernatural number 1.
     """
-    if isinstance(pairs, Mapping):
-        pairs = pairs.items()
     seen: Dict[int, ExtNat] = {}
     for prime, exp in pairs:
         if not _is_prime(prime):

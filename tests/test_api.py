@@ -48,11 +48,9 @@ from cuntz.catalog import (
     value_text,
     value_to_json,
 )
-from cuntz.multiplicity import Space
 from cuntz.supernatural import sn_parse
 
-PQ = Space.discrete(("p", "q"))
-INTERVAL = Space.interval()
+PQ = ("p", "q")
 
 VALUES = [
     (NatSG(), "ℕ₀", {"kind": "Nat"}),
@@ -65,7 +63,6 @@ VALUES = [
         "Mf(p,q)",
         {"kind": "Mf", "space": {"kind": "discrete", "points": ["p", "q"]}},
     ),
-    (MfSG(INTERVAL), "Mf([0,1])", {"kind": "Mf", "space": {"kind": "interval"}}),
     (
         MfiSG(PQ),
         "Mf_i(p,q)",
@@ -199,8 +196,8 @@ def test_exact_layer_does_not_load_numpy():
 
 # Each subcommand loads only its own layer: only the oz subcommands load
 # numpy (through cuntz.orderzero), and only eval and classify the catalog.
-# Without CX values, eval and classify load neither the multiplicity layer
-# nor dataclasses, and the oz subcommands load neither either.  Each set
+# eval and classify load neither the multiplicity layer nor dataclasses,
+# also on CX values, and the oz subcommands load neither either.  Each set
 # below names modules that a subcommand must leave unloaded.
 NUMPY = {"numpy", "cuntz.orderzero"}
 NUMPY_OR_CATALOG = NUMPY | {"cuntz.catalog"}
@@ -227,6 +224,7 @@ def _diag_map(target_dim, diags):
         for argv, absent in [
             (["eval", "M(2)", "Z"], NUMPY_OR_MULTIPLICITY),
             (["eval", "--ww", "CX(p,q)", "O2"], NUMPY),
+            (["eval", "CX(p,q)", "C"], NUMPY_OR_MULTIPLICITY),
             (["classify", "M(2)", "M(3)"], NUMPY_OR_MULTIPLICITY),
             (["classify", "CX(a,b)", "CX(p,q)"], NUMPY_OR_MULTIPLICITY),
             (["compare", "{space}", "{nu}", "{mu}"], NUMPY_OR_CATALOG),

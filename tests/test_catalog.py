@@ -201,10 +201,10 @@ def test_an_exhausted_step_budget_exits_2_from_the_cli(monkeypatch, capsys):
 
 def test_homology_values():
     value, trace = WW("CX(p,q,r)", "C")
-    assert value == MfSG(Space.discrete(("p", "q", "r")))
+    assert value == MfSG(("p", "q", "r"))
     assert anchors(trace) == ["multiplicity function description of Cuntz homology"]
     value, _ = W("CX(p,q,r)", "C")
-    assert value == MfiSG(Space.discrete(("p", "q", "r")))
+    assert value == MfiSG(("p", "q", "r"))
 
 
 def test_zero_rule():
@@ -378,11 +378,11 @@ def test_presentation_split_on_function_domain_with_matrix_target():
     q = Query("W", parse_algebra("CX(p,q)"), parse_algebra("M(3)"))
     values = explore_values(q)
     assert values == {
-        MfiSG(Space.discrete(("p", "q"))),
+        MfiSG(("p", "q")),
         DirectSumSG((NatSG(), NatSG())),
     }
     evaluated, _ = W("CX(p,q)", "M(3)")
-    assert evaluated == MfiSG(Space.discrete(("p", "q")))
+    assert evaluated == MfiSG(("p", "q"))
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +420,7 @@ def test_ideal_lattice_ordering_of_elements():
 def test_homology_variants():
     # WW(C(X), C) is every multiplicity function, W(C(X), C) the finitely
     # supported ones; both in one R6-homology step
-    x = Space.discrete(("p", "q"))
+    x = ("p", "q")
     for evaluate, expected in [(WW, MfSG(x)), (W, MfiSG(x))]:
         value, trace = evaluate("CX(p,q)", "C")
         assert value == expected
@@ -565,7 +565,7 @@ def test_value_json_kinds():
     assert value_to_json(NatSG()) == {"kind": "Nat"}
     assert value_to_json(TwoPointSG()) == {"kind": "TwoPoint"}
     assert value_to_json(IdealLatticeSG(3)) == {"kind": "IdealLattice", "summands": 3}
-    doc = value_to_json(MfSG(Space.discrete(("p",))))
+    doc = value_to_json(MfSG(("p",)))
     assert doc["kind"] == "Mf"
     assert doc["space"]["kind"] == "discrete"
     nested = value_to_json(DirectSumSG((NatSG(), WOfSG(parse_algebra("Z")))))

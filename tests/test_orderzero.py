@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -18,6 +19,7 @@ from cuntz.orderzero import (
     NotDominated,
     NotFinite,
     NotPositive,
+    OrderZeroMap,
     PreconditionViolated,
     ShapeMismatch,
     comparison_certificate,
@@ -32,7 +34,6 @@ from cuntz.orderzero import (
     oz_from_json,
     oz_handelman,
     oz_kronecker_rank,
-    oz_multiplicity,
     oz_new,
     oz_to_json,
     oz_verify_witness,
@@ -98,7 +99,7 @@ def test_psd_mode_validates_blocks():
     with pytest.raises(NormExceedsOne):
         oz_new(findim(1), 3, [2], [2 * np.eye(2)], "psd")
     phi = oz_new(findim(1), 3, [2], [0.5 * np.eye(2)], "psd")
-    assert phi.point_rank(0) == 2
+    assert phi.ranks[0] == 2
 
 
 @pytest.mark.parametrize("entry", [float("inf"), float("nan")])
@@ -238,21 +239,76 @@ def test_spectrum_is_cached_per_map(monkeypatch):
     assert calls == [(2, 2), (1, 1)]
     w, v = phi.spectrum[0]
     assert np.allclose(w, [0.25, 0.75]) and np.allclose((v * w) @ v.T, h)
-    assert oz_multiplicity(phi).value_at("x1") == ExtNat(2)
+    assert phi.multiplicity.value_at("x1") == ExtNat(2)
     oz_eps_cut(phi, 0.3)
     assert oz_construct_witness(phi, phi).passed
     assert calls == [(2, 2), (1, 1)]
     exact = diag_map(findim(1), 3, (F(1, 4), F(0), F(1)))
     assert exact.spectrum[0][0] == (F(1, 4), F(0), F(1))
     assert np.array_equal(exact.spectrum[0][1], np.eye(3))
-    assert exact.point_rank(0) == 2
+    assert exact.ranks[0] == 2
 
 
 def test_zero_multiplicity_blocks_are_allowed():
     phi = oz_new(findim(1, 1), 4, [0, 2], [(), (F(1), F(1, 4))], "diag")
-    assert phi.point_rank(0) == 0
-    assert phi.point_rank(1) == 2
-    assert oz_multiplicity(phi).value_at("x1") == ExtNat(0)
+    assert phi.ranks[0] == 0
+    assert phi.ranks[1] == 2
+    assert phi.multiplicity.value_at("x1") == ExtNat(0)
+
+
+def test_a_psd_block_is_stored_as_its_symmetric_part():
+    # np.allclose finds h symmetric (1e-10 + 1e-5 |entry|), but not to the
+    # bit: eigh would rank its lower triangle and apply use the whole block.
+    h = np.array([[0.5, 0.499998], [0.5, 0.5]])
+    phi = oz_new(SCALARS, 2, [2], [h], "psd")
+    psi = oz_new(SCALARS, 1, [1], [np.array([[1.0]])], "psd")
+    stored = phi.block_dense(0)
+    assert stored.tobytes() == stored.T.tobytes() == ((h + h.T) / 2).tobytes()
+    assert not stored.flags.writeable
+    assert phi.ranks == (2,)
+    assert comparison_certificate(phi, psi) == ("x1", 2, 1)
+    assert oz_construct_witness(psi, phi).passed
+    # a block symmetric to the bit is stored bit for bit, -0.0 facing -0.0
+    # included; a -0.0 facing a 0.0 becomes 0.0
+    g = np.array([[0.5, -0.0], [-0.0, 0.25]])
+    assert oz_new(SCALARS, 2, [2], [g], "psd").block_dense(0).tobytes() == g.tobytes()
+    g[1, 0] = 0.0
+    assert oz_new(SCALARS, 2, [2], [g], "psd").block_dense(0).tobytes() == np.abs(g).tobytes()
+
+
+def test_a_signed_zero_in_a_psd_block_does_not_change_the_search():
+    phi = oz_new(findim(1, 1), 6, [3, 1], [np.diag([1, 0.75, 0.5]), [[0.5]]], "psd")
+    psis = [
+        oz_new(findim(1, 1), 6, [2, 1], [np.array([[0.5, zero], [0.0, 0.25]]), [[1.0]]], "psd")
+        for zero in (-0.0, 0.0)
+    ]
+    for seed in range(20):
+        best = [oz_witness_search(phi, psi, samples=1024, seed=seed) for psi in psis]
+        assert best[0] == best[1]
+
+
+def test_positive_holds_the_counted_eigenpairs_once_per_map(monkeypatch):
+    exact = diag_map(findim(1, 1), 4, (F(1, 4), F(0), F(1)), ())
+    (lam, v), (none, w) = exact.positive
+    assert lam.tolist() == [1.0, 0.25] and np.array_equal(v, np.eye(3)[:, [2, 0]])
+    assert none.shape == (0,) and w.shape == (0, 0)
+    assert not (lam.flags.writeable or v.flags.writeable)
+    assert exact.ranks == (2, 0)
+    calls = []
+    positive = OrderZeroMap.positive.func
+    counted = cached_property(lambda f: calls.append(f) or positive(f))
+    counted.__set_name__(OrderZeroMap, "positive")
+    monkeypatch.setattr(OrderZeroMap, "positive", counted)
+    h = np.array([[0.5, 0.25], [0.25, 0.5]])
+    phi = oz_new(findim(1, 1), 4, [2, 1], [h, [[0.25]]], "psd")
+    psi = oz_new(findim(1, 1), 5, [2, 2], [h, np.eye(2) / 2], "psd")
+    assert phi.ranks == (2, 1) and psi.ranks == (2, 2)
+    assert comparison_certificate(phi, psi) is None
+    assert oz_construct_witness(phi, psi).passed
+    oz_witness_search(phi, psi, samples=64)
+    oz_witness_search(psi, phi, samples=64)
+    assert oz_construct_witness(phi, phi).passed
+    assert [f is phi for f in calls] == [True, False]
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +400,7 @@ def test_eps_cut_exact():
     cut = oz_eps_cut(phi, F(1, 4))
     assert cut.blocks[0] == (F(3, 4),)
     assert cut.blocks[1] == (F(1, 4), F(0))
-    assert cut.point_rank(1) == 1
+    assert cut.ranks[1] == 1
     with pytest.raises(NotPositive):
         oz_eps_cut(phi, F(-1, 4))
 
@@ -367,7 +423,6 @@ def test_psd_eps_cut_is_symmetric_to_the_last_bit():
         cut = oz_eps_cut(phi, 0.1)
         h = cut.block_dense(0)
         assert h.tobytes() == h.T.tobytes()
-        assert orderzero._symmetric(cut, cut)
         w = np.linalg.eigvalsh(h)
         assert np.allclose(w, np.clip(np.linalg.eigvalsh(phi.block_dense(0)) - 0.1, 0, None))
 
@@ -378,20 +433,20 @@ def test_eps_beyond_the_float_range_cuts_everything():
     phi = oz_new(findim(1), 3, [2], [np.array([[0.5, 0.25], [0.25, 0.5]])], "psd")
     huge = oz_eps_cut(phi, F(10**400))
     assert oz_to_json(huge) == oz_to_json(oz_eps_cut(phi, 2))
-    assert huge.point_rank(0) == 0
+    assert huge.ranks[0] == 0
     report = oz_eps_rank_inequality(phi, [np.eye(1)], F(10**400))
     assert (report.lhs_rank, report.rhs_rank) == (0, 0)
 
 
 def test_multiplicity_profile():
     phi = diag_map(findim(1, 1, 1), 8, (F(1), F(1, 2)), (), (F(1),))
-    nu = oz_multiplicity(phi)
+    nu = phi.multiplicity
     assert nu.space == Space.discrete(("x1", "x2", "x3"))
     assert nu.value_at("x1") == ExtNat(2)
     assert nu.value_at("x2") == ExtNat(0)
     assert nu.value_at("x3") == ExtNat(1)
     with pytest.raises(NonCommutativeDomain):
-        oz_multiplicity(diag_map(findim(2), 4, (F(1), F(1))))
+        diag_map(findim(2), 4, (F(1), F(1))).multiplicity
 
 
 def recount(phi):
@@ -414,8 +469,7 @@ def test_ranks_and_multiplicity_are_computed_once_on_first_use(mode):
     ranks, nu = recount(phi)
     assert phi.ranks == ranks
     assert phi.multiplicity == nu
-    assert phi.multiplicity is phi.multiplicity is oz_multiplicity(phi)
-    assert [phi.point_rank(i) for i in range(4)] == list(ranks)
+    assert phi.multiplicity is phi.multiplicity
 
 
 def test_derived_maps_carry_their_own_profile():
@@ -441,8 +495,6 @@ def test_non_commutative_profile_raises_on_every_call():
     for _ in range(2):
         with pytest.raises(NonCommutativeDomain):
             phi.multiplicity
-        with pytest.raises(NonCommutativeDomain):
-            oz_multiplicity(phi)
         assert oz_cuntz_leq_commutative(phi, psi)  # rank 2 in the one block of both
     assert phi.ranks == (2,)
 
@@ -486,12 +538,12 @@ def test_witness_search_is_deterministic_per_seed():
 def lift(psi, z):
     """The candidates on psi's used rows whose eigenbasis rows are z: on
     the rows of block i, B = V Z on each of its n_i row sets, V the
-    eigenvectors of H_i that ``ranks`` counts, largest eigenvalue first."""
+    eigenvectors of H_i in ``positive``, largest eigenvalue first."""
     s, cols = len(z), z.shape[-1]
     b = np.zeros((s, psi.used, cols))
     at = 0
     for i, (m, n, off) in enumerate(zip(psi.mults, psi.domain.blocks, psi.offsets)):
-        lam, v = orderzero._eigpairs(psi, i)
+        lam, v = psi.positive[i]
         part = z[:, at : at + len(lam) * n].reshape(s, len(lam), n, cols)
         b[:, off : off + m * n] = np.einsum("mk,sknc->smnc", v, part).reshape(s, m * n, cols)
         at += len(lam) * n
@@ -858,17 +910,17 @@ def test_verify_witness_rejects_non_finite_entries(entry):
 
 
 def test_tiny_exact_entries_count_in_comparison_and_witness():
-    # point_rank counts every exact positive entry; the witness must pair
+    # ranks counts every exact positive entry; the witness must pair
     # the same eigenvalues, not only those above the float cutoff.
     phi = diag_map(SCALARS, 2, (F(1, 2),))
     psi = diag_map(SCALARS, 2, (F(1, 10**12),))
-    assert psi.point_rank(0) == 1
+    assert psi.ranks[0] == 1
     assert oz_cuntz_leq_commutative(phi, psi) and oz_cuntz_leq_commutative(psi, phi)
     for a, b in ((phi, psi), (psi, phi)):
         report = oz_construct_witness(a, b)
         assert report.passed
         assert report.residual < 1e-12
-    assert oz_eps_cut(psi, 0).point_rank(0) == 1
+    assert oz_eps_cut(psi, 0).ranks[0] == 1
     assert oz_eps_rank_inequality(psi, [(F(1),)], 0).lhs_rank == 1
 
 
@@ -1129,7 +1181,7 @@ def test_direct_sum_hat_adds_profiles():
     psi = diag_map(findim(1, 1), 4, (F(1), F(1)), ())
     both = direct_sum(phi, psi)
     assert both.target_dim == 8
-    nu = oz_multiplicity(both)
+    nu = both.multiplicity
     assert nu.value_at("x1") == ExtNat(3)
     assert nu.value_at("x2") == ExtNat(1)
 
@@ -1232,5 +1284,5 @@ def test_spec_example_document():
     }
     phi = oz_from_json(doc)
     assert phi.target_dim == 3
-    assert oz_multiplicity(phi).value_at("x1") == ExtNat(2)
+    assert phi.multiplicity.value_at("x1") == ExtNat(2)
     assert oz_to_json(phi) == doc

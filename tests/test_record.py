@@ -78,8 +78,8 @@ EXAMPLES = [
     ZeroSG(),
     TwoPointSG(),
     CarSG(),
-    MfSG(PQ),
-    MfiSG(PQ),
+    MfSG(PQ.points),
+    MfiSG(PQ.points),
     IdealLatticeSG(3),
     DirectSumSG((NatSG(), ZeroSG())),
     WOfSG(Z),
@@ -166,7 +166,7 @@ def test_record_contract(record):
     "a,b",
     [
         (Tensor(Z, Mat(2)), DirectSum(Z, Mat(2))),
-        (MfSG(PQ), MfiSG(PQ)),
+        (MfSG(PQ.points), MfiSG(PQ.points)),
         (WOfSG(Z), CuOfSG(Z)),
         (NatSG(), ZeroSG()),
     ],
