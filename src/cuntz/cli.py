@@ -231,6 +231,7 @@ def cmd_oz_compare(args) -> int:
         comparison_certificate,
         obstruction_margin,
         oz_construct_witness,
+        rank_cutoff,
     )
 
     phi = _load_map(args.phi)
@@ -241,6 +242,7 @@ def cmd_oz_compare(args) -> int:
         above = comparison_certificate(psi, phi) is None
         report = oz_construct_witness(phi, psi, tol=args.tol) if below else None
         margin = None if below else obstruction_margin(phi, psi)
+        cutoff = None if below else rank_cutoff(phi, psi, phi.domain.point_labels.index(cert[0]))
     except OrderZeroError as exc:
         raise CliInputError(str(exc)) from None
     verdict = _VERDICTS[(below, above)]
@@ -260,6 +262,18 @@ def cmd_oz_compare(args) -> int:
         doc["certificate"] = {"point": point, "phi_rank": lhs, "psi_rank": rhs}
         doc["obstruction_margin"] = margin
         lines.append(f"rank exceeds at {point}: {lhs} > {rhs}")
+        if cutoff is not None:
+            cut, counted, uncounted = cutoff
+            doc["rank_cutoff"] = {
+                "cutoff": cut,
+                "phi_smallest_counted": counted,
+                "psi_largest_uncounted": uncounted,
+            }
+            shown = "none" if uncounted is None else f"{uncounted:.3e}"
+            lines.append(
+                f"rank cutoff {cut:g} at {point}: phi's smallest counted eigenvalue "
+                f"{counted:.3e}, psi's largest uncounted {shown}"
+            )
         lines.append(f"obstruction margin {margin:.3e} (no witness residual is below it)")
     _emit(doc, lines, args.format)
     return code

@@ -181,9 +181,11 @@ class OrderZeroMap(Record):
         out[: self.used, : self.used] = corner
         return out
 
-    def _used_image(self, element: Element) -> np.ndarray:
+    def _used_image(self, element: Element, lead: Tuple[int, ...] = ()) -> np.ndarray:
         """The image of ``apply`` on its used corner, the first u rows and
-        columns, outside which it vanishes.
+        columns, outside which it vanishes.  With ``lead`` = (s,), every
+        block of ``element`` is a stack of s matrices, and so is the image;
+        a block that is zero in every element of the stack is left out.
 
         Block i of the image is the Kronecker product H_i (x) a_i, built as
         one broadcast product of its entries."""
@@ -191,16 +193,18 @@ class OrderZeroMap(Record):
             raise DimensionMismatch(
                 f"element has {len(element)} blocks, domain has {len(self.domain.blocks)}"
             )
-        out = np.zeros((self.used, self.used))
+        out = np.zeros(lead + (self.used, self.used))
         for i, (m, n, off) in enumerate(zip(self.mults, self.domain.blocks, self.offsets)):
             if m == 0:
                 continue
             a = np.atleast_2d(np.asarray(element[i], dtype=float))
-            if a.shape != (n, n):
+            if a.shape != lead + (n, n):
                 raise DimensionMismatch(f"block {i} must be {n}x{n}, got {a.shape}")
+            if lead and not a.any():
+                continue  # a probe stack; apply writes the -0.0 of H_i (x) 0, as np.kron does
             h = self.dense_blocks[i]
-            piece = h[:, None, :, None] * a[None, :, None, :]
-            out[off : off + m * n, off : off + m * n] = piece.reshape(m * n, m * n)
+            piece = h[:, None, :, None] * a[..., None, :, None, :]
+            out[..., off : off + m * n, off : off + m * n] = piece.reshape(lead + (m * n,) * 2)
         return out
 
     @cached_property
@@ -227,8 +231,13 @@ class OrderZeroMap(Record):
         both read-only, computed on first use."""
         out = []
         for w, v in self.spectrum:
-            wf = np.array([float(x) for x in w])
-            order = [j for j in np.argsort(-wf) if w[j] > self.cutoff]
+            if self.mode == DIAG:  # exact Fraction > 0 comparisons
+                wf = np.array([float(x) for x in w])
+                counted = np.array([x > 0 for x in w], dtype=bool)
+            else:
+                wf, counted = w, w > EIG_CUTOFF
+            order = np.argsort(-wf)
+            order = order[counted[order]]
             out.append((_frozen(wf[order]), _frozen(v[:, order])))
         return tuple(out)
 
@@ -260,8 +269,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _symmetric_part(h: np.ndarray) -> np.ndarray:
-    """(h + h^T)/2 as a new read-only matrix, symmetric to the bit."""
-    return _frozen((h + h.T) / 2)
+    """(h + h^T)/2 as a new read-only matrix, symmetric to the bit.  It is
+    summed as h/2 + h^T/2, the same float wherever h/2 is exact, so that
+    entries above half the float range do not overflow to inf."""
+    return _frozen(h / 2 + h.T / 2)
 
 
 def _zeros(*shape: int) -> np.ndarray:
@@ -346,6 +357,14 @@ class OrthogonalityReport(Record):
         return self.trials == 0
 
 
+# The order-zero probe draws and images its trials in chunks of at most
+# PROBE_CHUNK trials and PROBE_FLOATS floats (1 MB) in a chunk's stacks:
+# larger stacks leave the cache, and from a used dimension of about 100 on,
+# a chunk of them took longer than its trials one by one.
+PROBE_CHUNK = 512
+PROBE_FLOATS = 2**17
+
+
 def oz_check_order_zero(
     phi, trials: int = 50, seed: int = 0, tol: float = 1e-9
 ) -> OrthogonalityReport:
@@ -354,44 +373,42 @@ def oz_check_order_zero(
     Accepts any object with ``domain`` and ``apply``; pairs are supported on
     disjoint coordinate sets (inside one block or across two blocks), so
     their product vanishes in the domain and must vanish in the image.  Only
-    the nonzero support of the two images is multiplied and normed.  An
-    ``OrderZeroMap`` gives its images on the used corner, where that support
-    lies, so the report is the dense one and the cost does not grow with
-    ``target_dim``; any other object is probed through ``apply``.
+    the nonzero support of the two images is multiplied and normed.
+
+    The pairs come in chunks (``_probe_pairs``).  An ``OrderZeroMap`` images
+    a whole chunk at once on the used corner, where that support lies, and
+    one reduction finds the trials whose supports meet: only those are
+    multiplied, and on an order-zero map there are none.  The report is the
+    dense one, the cost does not grow with ``target_dim``, and a chunk holds
+    at most 512 trials and about 2^17 floats, so memory stays bounded for
+    any number of trials and any used dimension.  Any other object is
+    probed pair by pair through ``apply``.
     """
-    image = phi._used_image if isinstance(phi, OrderZeroMap) else phi.apply
     rng = random.Random(seed)
     sizes = phi.domain.blocks
-    k = len(sizes)
-    options = []
-    if k >= 2:
-        options.append("cross")
-    if any(n >= 2 for n in sizes):
-        options.append("split")
+    options = (["cross"] if len(sizes) >= 2 else []) + (
+        ["split"] if any(n >= 2 for n in sizes) else []
+    )
+    stacked = isinstance(phi, OrderZeroMap)
+    width = sum(n * n for n in sizes) + (phi.used**2 if stacked else 0)
+    chunk = max(1, min(PROBE_CHUNK, PROBE_FLOATS // (2 * width)))
     worst = 0.0
     done = 0
-    for _ in range(trials):
-        if not options:
-            break
-        a_blocks = [np.zeros((n, n)) for n in sizes]
-        b_blocks = [np.zeros((n, n)) for n in sizes]
-        mode = rng.choice(options)
-        if mode == "cross":
-            i, j = rng.sample(range(k), 2)
-            a_blocks[i] = _random_psd(sizes[i], rng)
-            b_blocks[j] = _random_psd(sizes[j], rng)
+    while options and done < trials:
+        s = min(chunk, trials - done)
+        a, b = _probe_pairs(sizes, options, s, rng)
+        if stacked:
+            va = phi._used_image(a, (s,))
+            vb = phi._used_image(b, (s,))
+            meet = (va.any(axis=-2) & vb.any(axis=-1)).any(axis=-1)
+            images = ((va[t], vb[t]) for t in np.flatnonzero(meet))
         else:
-            i = rng.choice([idx for idx, n in enumerate(sizes) if n >= 2])
-            n = sizes[i]
-            cut = rng.randrange(1, n)
-            coords = list(range(n))
-            rng.shuffle(coords)
-            a_blocks[i] = _corner_psd(n, coords[:cut], rng)
-            b_blocks[i] = _corner_psd(n, coords[cut:], rng)
-        va = image(a_blocks)
-        vb = image(b_blocks)
-        worst = max(worst, op_norm(_support_product(va, vb)))
-        done += 1
+            images = (
+                (phi.apply([x[t] for x in a]), phi.apply([x[t] for x in b])) for t in range(s)
+            )
+        for va_t, vb_t in images:
+            worst = max(worst, op_norm(_support_product(va_t, vb_t)))
+        done += s
     return OrthogonalityReport(worst <= tol, worst, done, tol)
 
 
@@ -405,16 +422,48 @@ def _support_product(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
     return a[a.any(axis=1)] @ b[:, b.any(axis=0)]
 
 
-def _random_psd(n: int, rng: random.Random) -> np.ndarray:
-    g = np.array([[rng.gauss(0, 1) for _ in range(n)] for _ in range(n)])
-    m = g @ g.T
-    top = np.linalg.eigvalsh(m).max()
-    return m / top if top > 0 else m
+def _probe_pairs(
+    sizes: Sequence[int], options: Sequence[str], count: int, rng: random.Random
+) -> List[List[np.ndarray]]:
+    """``count`` orthogonal pairs of positive contractions, as two element
+    stacks: block i of each is an array of shape (count, n_i, n_i).
 
-
-def _corner_psd(n: int, coords: Sequence[int], rng: random.Random) -> np.ndarray:
-    out = np.zeros((n, n))
-    out[np.ix_(coords, coords)] = _random_psd(len(coords), rng)
+    A "cross" pair puts one contraction on each of two blocks, a "split"
+    pair puts them on complementary coordinate sets of one block.  Each
+    contraction is m / ||m|| for m = g g^T, g a Gaussian matrix; every draw
+    comes from ``rng`` in trial order, and all draws of one size are
+    multiplied and normed in one stacked ``matmul`` and ``eigvalsh``.
+    """
+    k = len(sizes)
+    splittable = [i for i, n in enumerate(sizes) if n >= 2]
+    draws = {}  # size -> the Gaussian entries of every draw of that size
+    groups = {}  # (side, block, size) -> [(trial, coordinates, draw index)]
+    for t in range(count):
+        if rng.choice(options) == "cross":
+            i, j = rng.sample(range(k), 2)
+            halves = ((i, range(sizes[i])), (j, range(sizes[j])))
+        else:
+            i = rng.choice(splittable)
+            n = sizes[i]
+            cut = rng.randrange(1, n)
+            coords = list(range(n))
+            rng.shuffle(coords)
+            halves = ((i, coords[:cut]), (i, coords[cut:]))
+        for side, (i, coords) in enumerate(halves):
+            n = len(coords)
+            pool = draws.setdefault(n, [])
+            groups.setdefault((side, i, n), []).append((t, coords, len(pool) // (n * n)))
+            pool.extend([rng.gauss(0, 1) for _ in range(n * n)])
+    psd = {}
+    for n, pool in draws.items():
+        g = np.array(pool).reshape(-1, n, n)
+        m = g @ g.swapaxes(-1, -2)
+        top = np.linalg.eigvalsh(m).max(axis=-1)
+        psd[n] = m / np.where(top > 0, top, 1.0)[:, None, None]
+    out = [[np.zeros((count, n, n)) for n in sizes] for _ in range(2)]
+    for (side, i, n), group in groups.items():
+        t, coords, index = (np.array(x) for x in zip(*group))
+        out[side][i][t[:, None, None], coords[:, :, None], coords[:, None, :]] = psd[n][index]
     return out
 
 
@@ -513,7 +562,8 @@ def _witness_residual(phi: OrderZeroMap, psi: OrderZeroMap, b: np.ndarray) -> fl
     columns that starts with phi's used ones, in order: every other row and
     column of every residual is zero.  All generators go through the
     residual kernel of ``oz_witness_search`` and one stacked exact norm."""
-    r = _residuals(b[None], _generator_images(phi, psi, psi.dense_blocks))
+    pairs = _generator_images(phi, psi, psi.dense_blocks)
+    r = _residuals(b[None], pairs, _phi_images(pairs, b.shape[-1]))
     return float(_op_norms(r, phi.domain.is_commutative).max())
 
 
@@ -598,13 +648,20 @@ def oz_eps_rank_inequality(phi: OrderZeroMap, a: Element, eps) -> EpsRankReport:
 
 def _element_eigenvalues(blk, n: int, i: int) -> np.ndarray:
     """Float eigenvalues of element block i: a length-n sequence of numbers
-    is its diagonal, anything else the n x n matrix itself."""
+    is its diagonal, anything else the n x n matrix itself.  A positive
+    matrix is self-adjoint: as in ``oz_new``, one that ``np.allclose`` does
+    not find symmetric is ``NotPositive``, and the eigenvalues are those of
+    its symmetric part, whichever triangle holds an entry."""
     x = np.atleast_1d(np.asarray(blk, dtype=float))
     if x.shape not in ((n,), (n, n)):
         raise DimensionMismatch(f"block {i} must be {n}x{n}, got {x.shape}")
     if not np.isfinite(x).all():
         raise NotFinite(f"block {i} has a non-finite entry")
-    return x if x.ndim == 1 else np.linalg.eigvalsh(x)
+    if x.ndim == 1:
+        return x
+    if not np.allclose(x, x.T, atol=EIG_CUTOFF):
+        raise NotPositive(f"block {i} is not symmetric")
+    return np.linalg.eigvalsh(_symmetric_part(x))
 
 
 class HandelmanReport(Record):
@@ -701,13 +758,15 @@ def oz_witness_search(
     rows = sum(len(lam) * n for lam, n in zip(diags, psi.domain.blocks))
     best = inf
     chunk, batch = 512, 16
+    images = _phi_images(pairs, phi.used)
+    draws = _zeros(max(0, min(chunk, samples)), rows, phi.used)
     left = samples
     while left > 0 and best > floor:
         s = min(chunk, left)
         left -= s
-        bs = rng.standard_normal(out=_zeros(s, rows, phi.used))
+        bs = rng.standard_normal(out=draws[:s])
         bs *= rng.uniform(0.05, 2.0, size=(s, 1, 1))
-        r = _residuals(bs, pairs)
+        r = _residuals(bs, pairs, images)
         columns = np.einsum("sgij,sgij->sgj", r, r).max(axis=(1, 2), initial=0.0)
         lower = np.maximum(np.sqrt(columns), floor)
         order = np.argsort(lower)
@@ -739,6 +798,19 @@ def obstruction_margin(phi: OrderZeroMap, psi: OrderZeroMap) -> float:
         if r < len(sv):
             margin = max(margin, sv[r])
     return _float(margin)
+
+
+def rank_cutoff(
+    phi: OrderZeroMap, psi: OrderZeroMap, i: int
+) -> Optional[Tuple[float, float, Optional[float]]]:
+    """What a psd rank reads at block i: the cutoff, phi's smallest counted
+    eigenvalue there and psi's largest uncounted one (None where psi counts
+    every eigenvalue of the block).  None when both maps are diag, whose
+    ranks count exact positive entries."""
+    if phi.mode == DIAG and psi.mode == DIAG:
+        return None
+    uncounted = [float(x) for x in psi.spectrum[i][0] if not x > psi.cutoff]
+    return EIG_CUTOFF, float(phi.positive[i][0][-1]), max(uncounted, default=None)
 
 
 def _generator_images(
@@ -773,18 +845,26 @@ def _corners(blocks: Sequence[np.ndarray], sizes: Sequence[int]) -> List[Corner]
     return out
 
 
-def _residuals(bs: np.ndarray, pairs: Sequence[Tuple[Corner, Corner]]) -> np.ndarray:
+def _phi_images(pairs: Sequence[Tuple[Corner, Corner]], width: int) -> np.ndarray:
+    """The images phi(g) of ``pairs``, as wide as a witness, in one stack."""
+    images = np.zeros((len(pairs), width, width))
+    for g, (_, (rows, cols, k)) in enumerate(pairs):
+        images[g, rows, cols] = k
+    return images
+
+
+def _residuals(
+    bs: np.ndarray, pairs: Sequence[Tuple[Corner, Corner]], images: np.ndarray
+) -> np.ndarray:
     """r[s, g] = bs[s]^T psi(g) bs[s] - phi(g) for a stack of witnesses, with
-    psi(g) and phi(g) given by their corners: only the rows of bs that psi(g)
-    meets take part.  The images phi(g), as wide as a witness, are written
-    into one stack and subtracted in one pass, which walks r in memory
+    psi(g) given by its corner in ``pairs``: only the rows of bs that psi(g)
+    meets take part.  The stack ``images`` of every phi(g)
+    (``_phi_images``) is subtracted in one pass, which walks r in memory
     order; subtracting each corner from r[:, g] would stride across the
     candidates."""
-    r = np.empty((len(bs), len(pairs)) + bs.shape[-1:] * 2)
-    images = np.zeros(r.shape[1:])
-    for g, ((rows, cols, h), (phi_rows, phi_cols, k)) in enumerate(pairs):
+    r = np.empty((len(bs),) + images.shape)
+    for g, ((rows, cols, h), _) in enumerate(pairs):
         np.matmul(bs[:, rows].swapaxes(-1, -2) @ h, bs[:, cols], out=r[:, g])
-        images[g, phi_rows, phi_cols] = k
     r -= images
     return r
 

@@ -287,6 +287,46 @@ def test_oz_compare_prints_the_obstruction_margin(phi_file, psi_file, capsys):
     assert "obstruction_margin" not in json.loads(capsys.readouterr().out)
 
 
+def test_oz_compare_names_the_rank_cutoff_where_a_psd_rank_decides(phi_file, tmp_path, capsys):
+    def one_point(name, block, mode):
+        doc = {**diag_map_doc(1, ["1"]), "blocks": [block], "mode": mode}
+        return write(tmp_path, name, doc)
+
+    half = one_point("half.json", [[0.5]], "psd")
+    tiny = one_point("tiny.json", [[1e-11]], "psd")
+    assert main(["oz", "compare", half, tiny]) == 4
+    assert capsys.readouterr().out.splitlines() == [
+        "geq",
+        "rank exceeds at x1: 1 > 0",
+        "rank cutoff 1e-10 at x1: phi's smallest counted eigenvalue 5.000e-01, "
+        "psi's largest uncounted 1.000e-11",
+        "obstruction margin 5.000e-01 (no witness residual is below it)",
+    ]
+    assert main(["oz", "compare", half, tiny, "--format", "json"]) == 4
+    assert json.loads(capsys.readouterr().out)["rank_cutoff"] == {
+        "cutoff": 1e-10,
+        "phi_smallest_counted": 0.5,
+        "psi_largest_uncounted": 1e-11,
+    }
+    # a diag phi against psi = 0 in psd mode: psi's rank still decides, and
+    # a psi that counts every eigenvalue has none uncounted
+    zero = one_point("zero.json", [[0.0]], "psd")
+    assert main(["oz", "compare", phi_file, zero, "--format", "json"]) == 4
+    assert json.loads(capsys.readouterr().out)["rank_cutoff"]["psi_largest_uncounted"] == 0.0
+    two = {**diag_map_doc(2, ["1"]), "mult": [2], "blocks": [[[1.0, 0.0], [0.0, 0.5]]],
+           "mode": "psd"}
+    assert main(["oz", "compare", write(tmp_path, "two.json", two), half, "--format", "json"]) == 4
+    assert json.loads(capsys.readouterr().out)["rank_cutoff"] == {
+        "cutoff": 1e-10,
+        "phi_smallest_counted": 0.5,
+        "psi_largest_uncounted": None,
+    }
+    # the same pair in diag mode counts exact entries: equal, and no cutoff
+    exact = one_point("exact.json", [["1/100000000000"]], "diag")
+    assert main(["oz", "compare", one_point("h.json", [["1/2"]], "diag"), exact]) == 0
+    assert "cutoff" not in capsys.readouterr().out
+
+
 def test_oz_witness_round_trip(phi_file, psi_file, capsys):
     assert main(["oz", "witness", phi_file, psi_file, "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)

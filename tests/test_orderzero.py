@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -38,6 +39,7 @@ from cuntz.orderzero import (
     oz_to_json,
     oz_verify_witness,
     oz_witness_search,
+    rank_cutoff,
 )
 
 F = Fraction
@@ -112,6 +114,18 @@ def test_new_rejects_non_finite_blocks(entry):
         oz_new(findim(1), 3, [2], [np.array([[0.5, entry], [entry, 0.5]])], "psd")
     with pytest.raises(NotFinite):
         oz_new(findim(1), 2, [1], [(entry,)], "diag")
+
+
+def test_a_psd_block_above_half_the_float_range_is_not_a_contraction():
+    # (h + h^T)/2 summed as h + h^T overflows to inf, eigh then reads NaN,
+    # which passes every eigenvalue comparison: the map had rank 0.
+    for h in ([[1e308, 0.0], [0.0, 1e308]], [[1.7e308, 1e307], [1e307, 1.7e308]]):
+        with pytest.raises(NormExceedsOne):
+            oz_new(findim(1), 2, [2], [np.array(h)], "psd")
+    # an element block that large is ranked, not read as NaN
+    phi = diag_map(findim(2), 2, (F(1, 2),))
+    rep = oz_eps_rank_inequality(phi, [[[1.7e308, 1e307], [1e307, 1.7e308]]], 0.1)
+    assert (rep.lhs_rank, rep.rhs_rank) == (2, 2)
 
 
 def test_a_psd_block_is_copied_from_the_callers_array():
@@ -390,6 +404,101 @@ def test_scalar_domain_has_no_orthogonal_pairs():
     assert report.passed
     assert report.trials == 0
     assert report.vacuous
+
+
+def reference_probe_pairs(sizes, trials, seed):
+    """The pairs of the order-zero probe drawn and normalised one trial at a
+    time, each contraction m / ||m|| for m = g g^T, as separate element
+    lists."""
+    rng = random.Random(seed)
+
+    def psd(n):
+        g = np.array([[rng.gauss(0, 1) for _ in range(n)] for _ in range(n)])
+        m = g @ g.T
+        top = np.linalg.eigvalsh(m).max()
+        return m / top if top > 0 else m
+
+    options = (["cross"] if len(sizes) >= 2 else []) + (
+        ["split"] if any(n >= 2 for n in sizes) else []
+    )
+    out = []
+    for _ in range(trials):
+        a, b = ([np.zeros((n, n)) for n in sizes] for _ in "ab")
+        if rng.choice(options) == "cross":
+            i, j = rng.sample(range(len(sizes)), 2)
+            a[i], b[j] = psd(sizes[i]), psd(sizes[j])
+        else:
+            i = rng.choice([k for k, n in enumerate(sizes) if n >= 2])
+            cut = rng.randrange(1, sizes[i])
+            coords = list(range(sizes[i]))
+            rng.shuffle(coords)
+            a[i][np.ix_(coords[:cut], coords[:cut])] = psd(cut)
+            b[i][np.ix_(coords[cut:], coords[cut:])] = psd(sizes[i] - cut)
+        out.append((a, b))
+    return out, options
+
+
+@pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 1, 3), (4,)])
+def test_probe_pairs_are_the_pairs_drawn_one_trial_at_a_time(sizes):
+    # One stream, in trial order, and one stacked matmul and eigvalsh per
+    # size: every element equals the one drawn and normalised on its own.
+    for count, seed in ((1, 0), (37, 5), (300, 9)):
+        reference, options = reference_probe_pairs(sizes, count, seed)
+        stacks = orderzero._probe_pairs(sizes, options, count, random.Random(seed))
+        for t, pair in enumerate(reference):
+            for side, element in enumerate(pair):
+                for x, stack in zip(element, stacks[side]):
+                    assert stack[t].tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("trials", [0, 1, 511, 512, 513, 1100])
+@pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 1, 3)])
+@pytest.mark.parametrize("mode", ["diag", "psd"])
+def test_chunked_check_equals_the_dense_probe_at_the_chunk_edges(mode, sizes, trials):
+    # A chunk holds 512 trials: 511, 512 and 513 sit at its edge, and 1,100
+    # take three chunks.  Commutative and non-commutative domains.
+    phi = block_map(np.random.default_rng(trials), mode, list(sizes), [1, 2, 1], 2)
+    report = oz_check_order_zero(phi, trials=trials, seed=trials + 1)
+    assert report == oz_check_order_zero(DenseProbe(phi), trials=trials, seed=trials + 1)
+    assert report.passed and report.trials == trials
+    assert report.vacuous == (trials == 0)
+
+
+def count_images(monkeypatch):
+    """The leading axes of every call to ``OrderZeroMap._used_image``."""
+    calls, used_image = [], OrderZeroMap._used_image
+    monkeypatch.setattr(
+        OrderZeroMap,
+        "_used_image",
+        lambda self, element, lead=(): calls.append(lead) or used_image(self, element, lead),
+    )
+    return calls
+
+
+def test_the_check_images_each_side_of_a_chunk_in_one_call(monkeypatch):
+    calls = count_images(monkeypatch)
+    small = diag_map(findim(1, 2), 9, (F(1), F(1, 2)), (F(1, 4), F(1, 8)))
+    assert oz_check_order_zero(small, trials=1100, seed=0).passed
+    assert calls == [(512,)] * 4 + [(76,)] * 2
+    # u = 50: 2^17 floats in all hold the elements and images of
+    # 2^16 // (50^2 + 2) = 26 trials, which bounds the memory of a chunk
+    calls.clear()
+    wide = diag_map(findim(1, 1), 50, (F(1, 2),) * 40, (F(1, 4),) * 10)
+    assert oz_check_order_zero(wide, trials=60, seed=0).passed
+    assert calls == [(26,)] * 4 + [(8,)] * 2
+
+
+def test_a_check_with_a_used_corner_in_the_thousands_forms_no_product(monkeypatch):
+    # u = 1,001: each chunk is one trial, its two images are the only u x u
+    # arrays, and their supports never meet, so nothing is multiplied.
+    phi = diag_map(findim(1, 1), 1001, tuple(F(k % 8 + 1, 8) for k in range(1000)), (F(1, 2),))
+    calls = count_images(monkeypatch)
+    monkeypatch.setattr(orderzero, "_support_product", lambda va, vb: pytest.fail("product"))
+    report = oz_check_order_zero(phi, trials=6, seed=2)
+    monkeypatch.undo()
+    assert calls == [(1,)] * 12
+    assert report.passed and report.trials == 6
+    assert report == oz_check_order_zero(DenseProbe(phi), trials=6, seed=2)
 
 
 # ---------------------------------------------------------------------------
@@ -680,6 +789,21 @@ def test_obstruction_margin_is_exact_in_diag_mode():
         obstruction_margin(phi, diag_map(findim(1), 2, (F(1),)))
 
 
+def test_rank_cutoff_names_the_eigenvalues_nearest_the_cutoff():
+    half = oz_new(findim(1, 1), 3, [1, 2], [[[0.5]], np.diag([1.0, 1e-11])], "psd")
+    tiny = oz_new(findim(1, 1), 2, [1, 1], [[[1e-11]], [[0.25]]], "psd")
+    assert comparison_certificate(half, tiny) == ("x1", 1, 0)
+    assert rank_cutoff(half, tiny, 0) == (1e-10, 0.5, 1e-11)
+    # psi counts every eigenvalue of its block: none is uncounted
+    assert rank_cutoff(half, tiny, 1) == (1e-10, 1.0, None)
+    # a diag map against a psd one: the diag zero is uncounted
+    exact = diag_map(findim(1, 1), 3, (F(1, 4),), (F(1), F(0)))
+    assert rank_cutoff(half, exact, 1) == (1e-10, 1.0, 0.0)
+    assert rank_cutoff(exact, tiny, 0) == (1e-10, 0.25, 1e-11)
+    # two diag maps count exact entries: no cutoff
+    assert rank_cutoff(exact, exact, 0) is None
+
+
 def count_calls(monkeypatch, name):
     """Record the length of the first argument of every call to
     ``orderzero.<name>``."""
@@ -754,6 +878,21 @@ def test_a_psd_block_below_the_cutoff_goes_to_the_floor(monkeypatch):
     assert normed == []
 
 
+def test_the_search_builds_phis_images_once(monkeypatch):
+    # No zero corner in psi, so no floor stops the search: three chunks of
+    # candidates, one stack of phi's images.
+    rng = np.random.default_rng(9)
+    psi = oz_new(findim(1, 2), 9, [2, 3], [random_block(rng, "psd", 2, 1),
+                                         random_block(rng, "psd", 3, 2)], "psd")
+    phi = block_map(rng, "diag", [1, 2], [2, 2], 0)
+    images = count_calls(monkeypatch, "_phi_images")
+    chunks = count_calls(monkeypatch, "_residuals")
+    best = oz_witness_search(phi, psi, samples=1300, seed=3)
+    monkeypatch.undo()
+    assert chunks == [512, 512, 276] and len(images) == 1
+    assert abs(best - reference_witness_search(phi, psi, 1300, 3)) <= 1e-12
+
+
 def test_the_search_draws_rank_many_rows_per_block(monkeypatch):
     # psi uses 2 + 3 * 2 = 8 rows, but its blocks have ranks 1 and 2, so a
     # candidate has 1 + 2 * 2 = 5 rows in psi's eigenbasis.
@@ -764,7 +903,8 @@ def test_the_search_draws_rank_many_rows_per_block(monkeypatch):
     shapes = []
     residuals = orderzero._residuals
     monkeypatch.setattr(orderzero, "_residuals",
-                        lambda bs, pairs: shapes.append(bs.shape) or residuals(bs, pairs))
+                        lambda bs, pairs, images: shapes.append(bs.shape)
+                        or residuals(bs, pairs, images))
     best = oz_witness_search(phi, psi, samples=600, seed=1)
     monkeypatch.undo()
     assert psi.used == 8 and psi.ranks == (1, 2)
@@ -1122,6 +1262,20 @@ def test_eps_rank_cutoff_follows_the_rank_rule():
     phi = oz_new(SCALARS, 1, [1], [np.array([[0.5]])], "psd")
     rep = oz_eps_rank_inequality(phi, [(0.5,)], float(eps))
     assert (rep.lhs_rank, rep.rhs_rank) == (0, 1) == reference_eps_rank(phi, [[[0.5]]], eps)
+
+
+def test_eps_rank_refuses_an_element_block_that_is_not_symmetric():
+    # Which triangle holds the 5 must not decide the verdict: neither matrix
+    # is positive, so both are refused, as oz_new refuses such a block.
+    phi = diag_map(findim(2), 2, (F(1, 2),))
+    for a in ([[1, 5], [0, 1]], [[1, 0], [5, 1]]):
+        with pytest.raises(NotPositive, match="not symmetric"):
+            oz_eps_rank_inequality(phi, [a], 0.1)
+    # within np.allclose's tolerance, the symmetric part is ranked
+    near = np.array([[1.0, 0.5], [0.5 + 1e-12, 1.0]])
+    rep = oz_eps_rank_inequality(phi, [near], 0.1)
+    assert (rep.lhs_rank, rep.rhs_rank) == (2, 2)
+    assert rep == oz_eps_rank_inequality(phi, [near.T], 0.1)
 
 
 @pytest.mark.parametrize("mode", ["diag", "psd"])
