@@ -562,7 +562,7 @@ def _witness_residual(phi: OrderZeroMap, psi: OrderZeroMap, b: np.ndarray) -> fl
     columns that starts with phi's used ones, in order: every other row and
     column of every residual is zero.  All generators go through the
     residual kernel of ``oz_witness_search`` and one stacked exact norm."""
-    pairs = _generator_images(phi, psi, psi.dense_blocks)
+    pairs = _generator_images(phi, psi, psi.dense_blocks, phi.dense_blocks)
     r = _residuals(b[None], pairs, _phi_images(pairs, b.shape[-1]))
     return float(_op_norms(r, phi.domain.is_commutative).max())
 
@@ -716,62 +716,81 @@ def oz_witness_search(
     """Best residual over random witness candidates; deterministic per seed.
 
     Candidates are Gaussian matrices with random scaling, drawn in chunks
-    of 512 on the used corner only, and there in psi's eigenbasis.  A
-    candidate b meets psi(g) only in psi's first u(psi) rows, and compressing
-    it to phi's first u(phi) columns compresses every residual to that
-    corner, which never raises its norm, so unused dimensions cost nothing.
-    On the rows of block i, b^T (H_i (x) E_rc) b reads b only through
-    Z = V^T b on each of the n_i row sets of the block, V the eigenvectors
-    of H_i in ``positive``, and there H_i acts as diag(lambda) of their
-    eigenvalues.  So Z is drawn in place of b: rank(H_i) n_i rows
-    instead of m_i n_i.  V has orthonormal columns and a Gaussian matrix is
-    rotation invariant, so V^T of a Gaussian b is Gaussian, and the best of
-    ``samples`` candidates has the distribution it had when b itself was
-    drawn; the values per seed differ.
+    of 512 in the eigenbases of both maps.  On block i, psi(g) and phi(g)
+    are H_i (x) E_rc, and H_i acts as diag(lambda) on its eigenvectors V
+    that the rank rule counts (``positive``).  A candidate Y stands for the
+    witness b = V_psi Y V_phi^T: it has sum rank(psi_i) n_i rows and
+    sum rank(phi_i) n_i columns, in place of b's used corner of
+    u(psi) x u(phi), and every corner is diagonal.  b meets psi(g) only
+    through V_psi^T b.  With P the projection onto phi's counted
+    eigenvectors, which commutes with phi(g),
+    r_g(bP) = P r_g(b) P - (1 - P) phi(g) (1 - P) is block-diagonal, so
+    compressing a candidate to phi's range raises no residual beyond the
+    norm of the second term: phi's largest uncounted |eigenvalue| over all
+    blocks (0 in diag mode, at most 1e-10 in psd mode).  That term is part
+    of the floor, so every value is the exact residual norm of the lifted b
+    against the whole of phi.  A Gaussian matrix is rotation invariant, so
+    V_psi^T b V_phi of a Gaussian b is Gaussian, and the best of
+    ``samples`` candidates is stochastically no higher than on the used
+    corner; the values per seed differ.
 
     A generator g whose psi corner is zero (multiplicity 0, rank 0 under the
     rank rule, such as a psd block of entries below 1e-10, or exact
-    eigenvalues below the float range) has the
-    residual -phi(g) for every candidate, of norm ||H_i|| for phi's block
-    i: the largest is the floor, below which no candidate can go.  The
-    other generators go through one batched residual kernel,
-    r = Z^T diag(lambda) Z - phi(g), on the matching rows of the candidate.
-    The largest column 2-norm of r, raised to the floor, is a lower bound
-    of a candidate's value, so a candidate whose bound is not below the
-    running best cannot improve it.
-    Exact norms (stacked ``eigvalsh`` on a commutative domain, where every
-    generator is a diagonal unit and every residual symmetric, SVDs
-    otherwise) are taken in ascending order of the bound: the lowest
-    alone, then batches of 16, until the next bound reaches the running
-    best.  Once the best is the floor, no further chunk is drawn; when every
-    generator is constant, none is.  The returned minimum is the one an
-    exact norm of every candidate would give.
+    eigenvalues below the float range) has the residual -phi(g) for every
+    candidate, of norm ||H_i||: the largest of these and the uncounted
+    term above make the floor, below which no candidate can go.  Where
+    every generator is of this kind, or phi has rank 0 everywhere (so a
+    candidate has no columns and b = 0 is the only one), the floor is the
+    answer and no candidate is drawn.
+
+    Each candidate is first screened by d, the largest |diagonal entry| of
+    its residuals r = Y^T diag(lambda) Y - diag(mu), which costs one pass
+    over Y and is at most its value.  The first chunk seeds the running
+    best with the exact value of its candidate of smallest d; only the
+    candidates whose d is below the running best go on to the batched
+    residual kernel.  There the largest column 2-norm of r, raised to the
+    floor, is a lower bound of a candidate's value, and exact norms
+    (stacked ``eigvalsh`` on a commutative domain, where every generator
+    is a diagonal unit and every residual symmetric, SVDs otherwise) are
+    taken in ascending order of that bound: the lowest alone, then batches
+    of 16, until the next bound reaches the running best.  Once the best is
+    the floor, no further chunk is drawn.  The returned minimum is the one
+    an exact norm of every candidate would give.
     """
     rng = np.random.default_rng(seed)
     symmetric = phi.domain.is_commutative
     diags = [np.diag(lam) for lam, _ in psi.positive]
-    pairs = [(c, d) for c, d in _generator_images(phi, psi, diags) if c[2].any()]
+    corners = [np.diag(mu) for mu, _ in phi.positive]
+    pairs = [(c, d) for c, d in _generator_images(phi, psi, diags, corners) if c[2].any()]
     zero = [i for i, lam in enumerate(diags) if not lam.any()]
-    floor = max((abs(float(x)) for i in zero for x in phi.spectrum[i][0]), default=0.0)
-    if not pairs:
+    floor = max((abs(float(x)) for i, (w, _) in enumerate(phi.spectrum) for x in w
+                 if i in zero or not x > phi.cutoff), default=0.0)
+    sizes = phi.domain.blocks
+    rows = sum(len(lam) * n for lam, n in zip(diags, sizes))
+    width = sum(len(mu) * n for mu, n in zip(corners, sizes))
+    if not pairs or not width:
         return floor if samples > 0 else inf
-    rows = sum(len(lam) * n for lam, n in zip(diags, psi.domain.blocks))
     best = inf
     chunk, batch = 512, 16
-    images = _phi_images(pairs, phi.used)
-    draws = _zeros(max(0, min(chunk, samples)), rows, phi.used)
+    images = _phi_images(pairs, width)
+    draws = _zeros(max(0, min(chunk, samples)), rows, width)
     left = samples
     while left > 0 and best > floor:
         s = min(chunk, left)
         left -= s
-        bs = rng.standard_normal(out=draws[:s])
-        bs *= rng.uniform(0.05, 2.0, size=(s, 1, 1))
-        r = _residuals(bs, pairs, images)
+        ys = rng.standard_normal(out=draws[:s])
+        ys *= rng.uniform(0.05, 2.0, size=(s, 1, 1))
+        d = _diagonal_bounds(ys, pairs, images)
+        if best == inf:
+            seeded = _residuals(ys[[d.argmin()]], pairs, images)
+            best = max(float(_op_norms(seeded, symmetric).max()), floor)
+        ys = ys[np.maximum(d, floor) < best]
+        r = _residuals(ys, pairs, images)
         columns = np.einsum("sgij,sgij->sgj", r, r).max(axis=(1, 2), initial=0.0)
         lower = np.maximum(np.sqrt(columns), floor)
         order = np.argsort(lower)
         start, size = 0, 1
-        while start < s and lower[order[start]] < best:
+        while start < len(ys) and lower[order[start]] < best:
             idx = order[start : start + size]
             idx = idx[lower[idx] < best]
             value = float(_op_norms(r[idx], symmetric).max(axis=1).min())
@@ -814,14 +833,16 @@ def rank_cutoff(
 
 
 def _generator_images(
-    phi: OrderZeroMap, psi: OrderZeroMap, psi_blocks: Sequence[np.ndarray]
+    phi: OrderZeroMap, psi: OrderZeroMap, psi_blocks: Sequence[np.ndarray],
+    phi_blocks: Sequence[np.ndarray],
 ) -> List[Tuple[Corner, Corner]]:
     """The corners of psi(g) and phi(g) for every matrix-unit generator g,
-    psi's laid out from ``psi_blocks`` in place of its own blocks."""
+    laid out from ``psi_blocks`` and ``phi_blocks`` in place of the maps'
+    own blocks."""
     if phi.domain != psi.domain:
         raise DomainMismatch("the generator images need a common domain")
     sizes = phi.domain.blocks
-    return list(zip(_corners(psi_blocks, sizes), _corners(phi.dense_blocks, sizes)))
+    return list(zip(_corners(psi_blocks, sizes), _corners(phi_blocks, sizes)))
 
 
 def _corners(blocks: Sequence[np.ndarray], sizes: Sequence[int]) -> List[Corner]:
@@ -867,6 +888,23 @@ def _residuals(
         np.matmul(bs[:, rows].swapaxes(-1, -2) @ h, bs[:, cols], out=r[:, g])
     r -= images
     return r
+
+
+def _diagonal_bounds(
+    ys: np.ndarray, pairs: Sequence[Tuple[Corner, Corner]], images: np.ndarray
+) -> np.ndarray:
+    """max_g max_j |r[s, g, j, j]| for every candidate of the stack ``ys``,
+    r as in ``_residuals`` with psi's corners diagonal, from Y alone:
+    sum_k lambda_k y[rows_k, j] y[cols_k, j] - phi(g)[j, j].  It costs one
+    pass over each candidate's rows, and it is at most the largest
+    operator norm of its residuals.  The entries are laid out candidate
+    last, so that the final reduction runs over whole rows of candidates
+    instead of a few entries per candidate."""
+    out = np.empty(images.shape[:2] + (len(ys),))
+    for g, ((rows, cols, h), _) in enumerate(pairs):
+        np.einsum("skj,k->js", ys[:, rows] * ys[:, cols], h.diagonal(), out=out[g])
+    out -= np.diagonal(images, axis1=1, axis2=2)[..., None]
+    return np.abs(out, out=out).max(axis=(0, 1))
 
 
 def _op_norms(m: np.ndarray, symmetric: bool = False) -> np.ndarray:
@@ -916,6 +954,13 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _zero_literal(x) -> bool:
+    """x is a zero that needs no Fraction: the int or float 0 (not False)
+    or the string "0".  Every other entry parses as before, so a diag block
+    of m x m entries builds m Fractions where its off-diagonal is zero."""
+    return x == "0" if type(x) is str else type(x) in (int, float) and x == 0
+
+
 def oz_from_json(doc: dict) -> OrderZeroMap:
     domain = FinDimAlgebra(tuple(_json_int(n, "domain") for n in doc["domain"]))
     mode = doc.get("mode", DIAG)
@@ -931,10 +976,10 @@ def oz_from_json(doc: dict) -> OrderZeroMap:
             diag = []
             for r in range(m):
                 for c in range(m):
-                    val = Fraction(str(rows[r][c]))
+                    x = rows[r][c]
                     if r == c:
-                        diag.append(val)
-                    elif val != 0:
+                        diag.append(Fraction(str(x)))
+                    elif not _zero_literal(x) and Fraction(str(x)) != 0:
                         raise ValueError(
                             "diagonal mode requires zero off-diagonal entries"
                         )

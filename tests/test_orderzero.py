@@ -644,41 +644,46 @@ def test_witness_search_is_deterministic_per_seed():
     assert a < 0.5
 
 
-def lift(psi, z):
-    """The candidates on psi's used rows whose eigenbasis rows are z: on
-    the rows of block i, B = V Z on each of its n_i row sets, V the
-    eigenvectors of H_i in ``positive``, largest eigenvalue first."""
-    s, cols = len(z), z.shape[-1]
-    b = np.zeros((s, psi.used, cols))
+def eigenbasis(f):
+    """f's counted eigenvectors on its used corner, a u(f) x sum rank(f_i) n_i
+    matrix: on block i, V (x) 1_{n_i}, V the eigenvectors of H_i in
+    ``positive``, largest eigenvalue first, so that column k n_i + r is
+    eigenvector k on the r-th row set of the block."""
+    out = np.zeros((f.used, sum(r * n for r, n in zip(f.ranks, f.domain.blocks))))
     at = 0
-    for i, (m, n, off) in enumerate(zip(psi.mults, psi.domain.blocks, psi.offsets)):
-        lam, v = psi.positive[i]
-        part = z[:, at : at + len(lam) * n].reshape(s, len(lam), n, cols)
-        b[:, off : off + m * n] = np.einsum("mk,sknc->smnc", v, part).reshape(s, m * n, cols)
+    for (lam, v), m, n, off in zip(f.positive, f.mults, f.domain.blocks, f.offsets):
+        out[off : off + m * n, at : at + len(lam) * n] = np.kron(v, np.eye(n))
         at += len(lam) * n
-    assert at == z.shape[1]
-    return b
+    return out
+
+
+def lift(phi, psi, y):
+    """The candidates B = V_psi Y V_phi^T on psi's used rows and phi's used
+    columns whose eigenbasis entries are y."""
+    return eigenbasis(psi) @ y @ eigenbasis(phi).T
 
 
 def reference_witness_search(phi, psi, samples, seed):
     """The search before batching: einsum conjugation, max-entry screening
     and one op_norm per candidate and generator.  Each candidate is drawn
-    in psi's eigenbasis on the used corner, as the search draws it, lifted
-    to psi's used rows and zero-padded to the full targets."""
+    in the eigenbases of both maps, as the search draws it, lifted to psi's
+    used rows and phi's used columns and zero-padded to the full targets,
+    and its residuals are taken against the whole of phi."""
     rng = np.random.default_rng(seed)
     gens = generators(phi.domain)
     psi_g = np.stack([psi.apply(g) for g in gens])
     phi_g = np.stack([phi.apply(g) for g in gens])
     rows = sum(r * n for r, n in zip(psi.ranks, psi.domain.blocks))
+    width = sum(r * n for r, n in zip(phi.ranks, phi.domain.blocks))
     best = float("inf")
     left = samples
     while left > 0:
         s = min(512, left)
         left -= s
-        z = rng.standard_normal((s, rows, phi.used))
-        z *= rng.uniform(0.05, 2.0, size=(s, 1, 1))
+        y = rng.standard_normal((s, rows, width))
+        y *= rng.uniform(0.05, 2.0, size=(s, 1, 1))
         bs = np.zeros((s, psi.target_dim, phi.target_dim))
-        bs[:, : psi.used, : phi.used] = lift(psi, z)
+        bs[:, : psi.used, : phi.used] = lift(phi, psi, y)
         r = np.einsum("sji,gjk,skl->sgil", bs, psi_g, bs) - phi_g[None, :, :, :]
         lower = np.abs(r).reshape(s, len(gens), -1).max(axis=2).max(axis=1)
         for idx in np.argsort(lower):
@@ -836,6 +841,38 @@ def test_witness_search_stops_early_on_a_constant_residual(mode, monkeypatch):
     assert abs(best - reference_witness_search(phi, psi, 1300, 2)) <= 1e-12
 
 
+def spied_search(monkeypatch, phi, psi, samples, seed):
+    """Run the search with spies and check its screen: every candidate that
+    reaches ``_residuals`` has d below the running best, which is the
+    smallest exact value normed so far (inf before the first).  Returns the
+    best, the shape of every drawn chunk (the screen sees each chunk
+    whole) and the number of candidates each ``_residuals`` call saw."""
+    screen, residuals, norms = orderzero._diagonal_bounds, orderzero._residuals, orderzero._op_norms
+    drawn, passed, normed = [], [], []
+
+    def spy_screen(ys, pairs, images):
+        drawn.append(ys.shape)
+        return screen(ys, pairs, images)
+
+    def spy_residuals(ys, pairs, images):
+        assert (screen(ys, pairs, images) < min(normed, default=np.inf)).all()
+        assert not drawn or ys.shape[1:] == drawn[0][1:]
+        passed.append(len(ys))
+        return residuals(ys, pairs, images)
+
+    def spy_norms(m, *args):
+        out = norms(m, *args)
+        normed.extend(out.max(axis=1))
+        return out
+
+    monkeypatch.setattr(orderzero, "_diagonal_bounds", spy_screen)
+    monkeypatch.setattr(orderzero, "_residuals", spy_residuals)
+    monkeypatch.setattr(orderzero, "_op_norms", spy_norms)
+    best = oz_witness_search(phi, psi, samples=samples, seed=seed)
+    monkeypatch.undo()
+    return best, drawn, passed
+
+
 @pytest.mark.parametrize("mode", ["diag", "psd"])
 def test_witness_search_stops_at_the_floor_on_a_mixed_pair(mode, monkeypatch):
     # psi has rank 0 only at the obstructed point x1, where phi's norm is 1.
@@ -849,10 +886,8 @@ def test_witness_search_stops_at_the_floor_on_a_mixed_pair(mode, monkeypatch):
         h = (u * [1.0, 0.5]) @ u.T
         phi = oz_new(findim(1, 1), 5, [2, 1], [(h + h.T) / 2, np.full((1, 1), 0.5)], mode)
     psi = oz_new(findim(1, 1), 4, [0, 2], [(), (F(1), F(1, 4))], "diag")
-    chunks = count_calls(monkeypatch, "_residuals")
-    best = oz_witness_search(phi, psi, samples=1300, seed=5)
-    monkeypatch.undo()
-    assert chunks == [512]
+    best, drawn, passed = spied_search(monkeypatch, phi, psi, 1300, 5)
+    assert [shape[0] for shape in drawn] == [512] and passed[0] == 1
     assert abs(best - 1.0) <= 1e-12
     assert abs(best - reference_witness_search(phi, psi, 1300, 5)) <= 1e-12
 
@@ -865,10 +900,8 @@ def test_a_psd_block_below_the_cutoff_goes_to_the_floor(monkeypatch):
     psi = oz_new(findim(1, 1), 4, [2, 1], [tiny, np.array([[1.0]])], "psd")
     assert psi.ranks == (0, 1)
     phi = diag_map(findim(1, 1), 4, (F(1), F(1, 2)), (F(1, 4),))
-    chunks = count_calls(monkeypatch, "_residuals")
-    best = oz_witness_search(phi, psi, samples=1300, seed=6)
-    monkeypatch.undo()
-    assert chunks == [512] and best == 1.0
+    best, drawn, _ = spied_search(monkeypatch, phi, psi, 1300, 6)
+    assert [shape[0] for shape in drawn] == [512] and best == 1.0
     assert abs(best - reference_witness_search(phi, psi, 1300, 6)) <= 1e-12
     # with x2 at rank 0 as well, no candidate is drawn at all
     flat = oz_new(findim(1, 1), 4, [2, 1], [tiny, np.array([[1e-11]])], "psd")
@@ -880,36 +913,118 @@ def test_a_psd_block_below_the_cutoff_goes_to_the_floor(monkeypatch):
 
 def test_the_search_builds_phis_images_once(monkeypatch):
     # No zero corner in psi, so no floor stops the search: three chunks of
-    # candidates, one stack of phi's images.
+    # candidates, one stack of phi's images, and the screen passes fewer
+    # candidates to the residual kernel than it sees.
     rng = np.random.default_rng(9)
     psi = oz_new(findim(1, 2), 9, [2, 3], [random_block(rng, "psd", 2, 1),
                                          random_block(rng, "psd", 3, 2)], "psd")
     phi = block_map(rng, "diag", [1, 2], [2, 2], 0)
     images = count_calls(monkeypatch, "_phi_images")
-    chunks = count_calls(monkeypatch, "_residuals")
-    best = oz_witness_search(phi, psi, samples=1300, seed=3)
-    monkeypatch.undo()
-    assert chunks == [512, 512, 276] and len(images) == 1
+    best, drawn, passed = spied_search(monkeypatch, phi, psi, 1300, 3)
+    assert [shape[0] for shape in drawn] == [512, 512, 276] and len(images) == 1
+    assert passed[0] == 1 and sum(passed[1:]) < 1300
     assert abs(best - reference_witness_search(phi, psi, 1300, 3)) <= 1e-12
 
 
 def test_the_search_draws_rank_many_rows_per_block(monkeypatch):
     # psi uses 2 + 3 * 2 = 8 rows, but its blocks have ranks 1 and 2, so a
-    # candidate has 1 + 2 * 2 = 5 rows in psi's eigenbasis.
+    # candidate has 1 + 2 * 2 = 5 rows in psi's eigenbasis; phi uses
+    # 3 + 2 * 2 = 7 columns, of ranks 2 and 1, so it has 2 + 1 * 2 = 4
+    # columns in phi's.
     rng = np.random.default_rng(9)
     psi = oz_new(findim(1, 2), 9, [2, 3], [random_block(rng, "psd", 2, 1),
                                          random_block(rng, "psd", 3, 2)], "psd")
-    phi = block_map(rng, "diag", [1, 2], [2, 2], 0)
-    shapes = []
-    residuals = orderzero._residuals
-    monkeypatch.setattr(orderzero, "_residuals",
-                        lambda bs, pairs, images: shapes.append(bs.shape)
-                        or residuals(bs, pairs, images))
-    best = oz_witness_search(phi, psi, samples=600, seed=1)
-    monkeypatch.undo()
+    phi = oz_new(findim(1, 2), 8, [3, 2], [random_block(rng, "psd", 3, 2),
+                                         random_block(rng, "psd", 2, 1)], "psd")
+    best, drawn, passed = spied_search(monkeypatch, phi, psi, 600, 1)
     assert psi.used == 8 and psi.ranks == (1, 2)
-    assert shapes and all(shape[1:] == (5, phi.used) for shape in shapes)
+    assert phi.used == 7 and phi.ranks == (2, 1)
+    assert drawn == [(512, 5, 4), (88, 5, 4)] and passed
     assert abs(best - reference_witness_search(phi, psi, 600, 1)) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["diag", "psd"])
+@pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 1), (1, 3)])
+def test_the_diagonal_screen_is_at_most_the_exact_value(mode, sizes):
+    # d of every candidate of every chunk is its largest |diagonal entry|
+    # of a residual, at most the largest operator norm of its residuals.
+    rng = np.random.default_rng([len(sizes), *sizes, mode == "psd"])
+    phi = block_map(rng, mode, sizes, [2] * len(sizes), 1)
+    psi = block_map(rng, mode, sizes, [1] * len(sizes), 1)
+    screen, chunks = orderzero._diagonal_bounds, []
+
+    def spy_screen(ys, pairs, images):
+        d = screen(ys, pairs, images)
+        r = orderzero._residuals(ys, pairs, images)
+        exact = orderzero._op_norms(r, phi.domain.is_commutative).max(axis=1)
+        diagonal = np.abs(np.diagonal(r, axis1=-2, axis2=-1)).max(axis=(1, 2))
+        assert np.allclose(d, diagonal, rtol=1e-12, atol=1e-12)
+        assert (d <= exact + 1e-12).all()
+        chunks.append(len(ys))
+        return d
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orderzero, "_diagonal_bounds", spy_screen)
+        oz_witness_search(phi, psi, samples=700, seed=2)
+    assert chunks == [512, 188]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mode=st.sampled_from(["diag", "psd"]),
+    sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    phi_ranks=st.lists(st.integers(0, 2), min_size=3, max_size=3),
+    psi_ranks=st.lists(st.integers(0, 2), min_size=3, max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_compressing_a_candidate_to_phis_range_never_raises_its_residual(
+    mode, sizes, phi_ranks, psi_ranks, seed
+):
+    # phi(g) commutes with the projection P onto phi's counted eigenvectors,
+    # so r_g(bP) = P r_g(b) P - (1 - P) phi(g) (1 - P), whose second term
+    # vanishes here up to rounding: the search loses nothing on phi's range.
+    rng = np.random.default_rng(seed)
+    k = len(sizes)
+    phi = block_map(rng, mode, sizes, phi_ranks[:k], 1)
+    psi = block_map(rng, mode, sizes, psi_ranks[:k], 1)
+    b = rng.standard_normal((psi.target_dim, phi.target_dim)) * rng.uniform(0.05, 2.0)
+    v = eigenbasis(phi)
+    p = np.zeros((phi.target_dim, phi.target_dim))
+    p[: phi.used, : phi.used] = v @ v.T
+    full = oz_verify_witness(phi, psi, b).residual
+    assert oz_verify_witness(phi, psi, b @ p).residual <= full + 1e-12
+
+
+@pytest.mark.parametrize("mode", ["diag", "psd"])
+def test_a_rank_zero_phi_returns_its_floor(mode, monkeypatch):
+    # A candidate on phi's range has no columns, so b = 0 is a witness and
+    # its residual -phi(g) vanishes: the value is the floor, 0, and no
+    # candidate is drawn, whatever psi is.
+    rng = np.random.default_rng(12)
+    phi = oz_new(findim(2, 1), 5, [2, 1], [zero_block(mode, 2), zero_block(mode, 1)], mode)
+    psi = block_map(rng, mode, [2, 1], [1, 2], 1)
+    assert phi.ranks == (0, 0)
+    drawn = count_calls(monkeypatch, "_diagonal_bounds")
+    for a, b in ((phi, psi), (phi, with_zero_points(rng, psi, [0]))):
+        assert oz_witness_search(a, b, samples=700, seed=4) == 0.0
+        assert reference_witness_search(a, b, 700, 4) == 0.0
+    assert oz_witness_search(phi, psi, samples=0, seed=4) == np.inf
+    assert drawn == []
+
+
+def test_an_uncounted_psd_eigenvalue_is_carried_by_the_floor():
+    # phi's eigenvalues 1e-11 and -5e-11 lie within the cutoff, so phi has
+    # rank 0 and a candidate on its range no columns.  b = 0 then leaves the
+    # residual -phi(g), of norm 5e-11, which the floor carries: against psi
+    # of full rank there is no zero corner of psi to carry it.
+    phi = oz_new(findim(1, 1), 4, [2, 1], [np.diag([1e-11, 0.0]), [[-5e-11]]], "psd")
+    assert phi.ranks == (0, 0)
+    for psi in (diag_map(findim(1, 1), 3, (F(1),), (F(1), F(1, 2))),
+                oz_new(findim(1, 1), 3, [2, 1], [np.eye(2) / 2, [[0.0]]], "psd")):
+        best = oz_witness_search(phi, psi, samples=700, seed=8)
+        assert best == 5e-11
+        assert abs(best - reference_witness_search(phi, psi, 700, 8)) <= 1e-12
+        assert abs(best - oz_verify_witness(phi, psi, np.zeros((3, 4))).residual) <= 1e-25
 
 
 def with_zero_points(rng, psi, points):
@@ -1426,6 +1541,55 @@ def test_json_rejects_off_diagonal_in_diag_mode():
         oz_from_json(doc)
     with pytest.raises(DimensionMismatch):
         oz_from_json({**doc, "blocks": [[["1"]]]})
+
+
+NOT_ZERO = (ValueError, "diagonal mode requires zero off-diagonal entries")
+
+
+def invalid(text):
+    return (ValueError, f"Invalid literal for Fraction: {text!r}")
+
+
+@pytest.mark.parametrize("literal, error", [
+    # zero literals, the int and float ones and "0" read without a Fraction
+    ("0", None), ("0/1", None), ("-0", None), ("+0", None), ("00", None), (" 0", None),
+    ("0 ", None), ("0.0", None), ("-0.0", None), ("0e5", None), (0, None), (0.0, None),
+    (-0.0, None),
+    # a bool is not a number here, nor is any other non-numeric literal
+    (False, invalid("False")), (True, invalid("True")), ("abc", invalid("abc")),
+    ("", invalid("")), ("nan", invalid("nan")), (float("nan"), invalid("nan")),
+    (float("inf"), invalid("inf")), (None, invalid("None")), ([], invalid("[]")),
+    ("1/0", (ZeroDivisionError, "Fraction(1, 0)")),
+    # non-zero numbers, however small
+    (1, NOT_ZERO), ("1", NOT_ZERO), ("1e-400", NOT_ZERO), (1e-300, NOT_ZERO),
+])
+def test_json_reads_every_off_diagonal_literal_as_a_fraction_would(literal, error):
+    doc = {"domain": [1], "target_dim": 2, "mult": [2], "mode": "diag",
+           "blocks": [[["1/2", literal], ["0", "1/4"]]]}
+    if error is None:
+        assert oz_from_json(doc).blocks == ((F(1, 2), F(1, 4)),)
+    else:
+        kind, message = error
+        with pytest.raises(kind) as caught:
+            oz_from_json(doc)
+        assert str(caught.value) == message
+
+
+def test_json_parses_only_the_diagonal_of_a_large_diag_block(monkeypatch):
+    # m = 1,000: the 999,000 off-diagonal "0"s build no Fraction.
+    m = 1000
+    rows = [["0"] * m for _ in range(m)]
+    for r in range(m):
+        rows[r][r] = f"{r % 7}/8"
+    doc = {"domain": [1], "target_dim": m, "mult": [m], "blocks": [rows], "mode": "diag"}
+    built = []
+    monkeypatch.setattr(orderzero, "Fraction", lambda x: built.append(x) or F(x))
+    monkeypatch.setattr(orderzero, "oz_new", lambda domain, dim, mults, blocks, mode: blocks)
+    blocks = oz_from_json(doc)
+    monkeypatch.undo()
+    assert len(built) <= m
+    assert blocks == [[F(r % 7, 8) for r in range(m)]]
+    assert oz_from_json(doc).ranks == (m - (m + 6) // 7,)
 
 
 def test_spec_example_document():
