@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -6,6 +7,8 @@ from cuntz.extnat import INF, ExtNat, way_below
 from cuntz.waxioms import (
     Fragment,
     FragmentNotClosed,
+    _first,
+    _greatest,
     check_wm_axioms,
     check_wo_axioms,
     extnat_fragment,
@@ -48,38 +51,48 @@ def test_finite_only_sup_oracle_fails_o2_under_full_order():
     assert "inf" in bad[0].witness
 
 
-def test_overflow_to_inf_fails_o3():
-    base = extnat_fragment(6)
-    cap = ExtNat(6)
+def overflow_to_inf(cap):
+    """Clamped addition whose finite sums above cap become inf."""
 
     def add(x, y):
         s = x + y
         return s if not s.is_finite or s <= cap else INF
 
-    broken = dataclasses.replace(base, add=add)
+    return add
+
+
+def test_overflow_to_inf_fails_o3():
+    broken = dataclasses.replace(extnat_fragment(6), add=overflow_to_inf(ExtNat(6)))
     bad = failures(check_wo_axioms(broken))
     assert [c.axiom for c in bad] == ["O3"]
     assert bad[0].witness is not None
 
 
+# One fault per object axiom on extnat_fragment(2), with its first
+# counterexample as the generator checker printed it.
+WITNESS_FAULTS = [
+    # 1 and 2 are incomparable, and both are way below 2
+    ({"leq": lambda x, y: x == y or x == ExtNat(0)}, "O1",
+     "lower set of 2 not directed at (1, 2)"),
+    # nothing is aux-below 0 under the strict order
+    ({"aux": lambda x, y: x < y}, "O1",
+     "lower set of 0 has no aux-compact greatest element"),
+    ({"sup": lambda values: INF}, "O2", "sup of lower set of 0 returned inf"),
+    # under the order that makes everything equal, 0 bounds every set
+    ({"leq": lambda x, y: True, "sup": lambda values: ExtNat(0)}, "O2",
+     "1 is aux-compact but sup of its lower set is 0"),
+    # 1 + 2 overflows to inf, which is way below nothing
+    ({"add": overflow_to_inf(ExtNat(2))}, "O3", "aux(1+2, 1+2) fails"),
+    # 1 is not compact: only 0 is aux-below it, but 1 is aux-below 1+1
+    ({"aux": lambda x, y: way_below(x, y) and not x == y == ExtNat(1)}, "O4",
+     "1 aux-below 1+1 but no dominating split sum"),
+]
+
+
 @pytest.mark.parametrize(
     "fault,axiom,witness",
-    [
-        # 1 and 2 are incomparable, and both are way below 2
-        ({"leq": lambda x, y: x == y or x == ExtNat(0)}, "O1",
-         "lower set of 2 not directed at (1, 2)"),
-        # nothing is aux-below 0 under the strict order
-        ({"aux": lambda x, y: x < y}, "O1",
-         "lower set of 0 has no aux-compact greatest element"),
-        ({"sup": lambda values: INF}, "O2", "sup of lower set of 0 returned inf"),
-        # under the order that makes everything equal, 0 bounds every set
-        ({"leq": lambda x, y: True, "sup": lambda values: ExtNat(0)}, "O2",
-         "1 is aux-compact but sup of its lower set is 0"),
-        # 1 is not compact: only 0 is aux-below it, but 1 is aux-below 1+1
-        ({"aux": lambda x, y: way_below(x, y) and not x == y == ExtNat(1)}, "O4",
-         "1 aux-below 1+1 but no dominating split sum"),
-    ],
-    ids=["O1-directed", "O1-compact", "O2-bound", "O2-compact", "O4"],
+    WITNESS_FAULTS,
+    ids=["O1-directed", "O1-compact", "O2-bound", "O2-compact", "O3", "O4"],
 )
 def test_each_object_axiom_names_its_first_counterexample(fault, axiom, witness):
     checks = check_wo_axioms(dataclasses.replace(extnat_fragment(2), **fault))
@@ -95,7 +108,7 @@ def test_unclosed_fragment_raises():
         aux=lambda x, y: x <= y,
         sup=max,
     )
-    with pytest.raises(FragmentNotClosed):
+    with pytest.raises(FragmentNotClosed, match=r"^1 \+ 1 = 2 escapes the fragment$"):
         check_wo_axioms(frag)
 
 
@@ -138,3 +151,143 @@ def test_morphism_escaping_target_raises():
     # continuous: aux(8, f(inf)) has no lift below inf
     checks = check_wm_axioms(embed, small, big)
     assert [c.axiom for c in failures(checks)] == ["M1"]
+
+
+# The differential oracle: the generator checker as it stood before O3 moved
+# to bitmasks, kept verbatim.  check_wo_axioms must agree with it on every
+# fragment, including which addition raises FragmentNotClosed.
+
+
+def reference_check_wo_axioms(fragment: Fragment):
+    elems = list(fragment.elements)
+    leq, aux = fragment.leq, fragment.aux
+    lowers = {a: fragment.lower(a) for a in elems}
+
+    sums: dict = {}
+
+    def cadd(x, y):
+        key = (x, y)
+        if key not in sums:
+            sums[key] = fragment.checked_add(x, y)
+        return sums[key]
+
+    def directed():
+        for a in elems:
+            low = lowers[a]
+            for x in low:
+                for y in low:
+                    if not any(leq(x, z) and leq(y, z) for z in low):
+                        yield f"lower set of {a} not directed at ({x}, {y})"
+            top = _greatest(low, leq)
+            if top is None or not aux(top, top):
+                yield f"lower set of {a} has no aux-compact greatest element"
+
+    def sup_ok():
+        for a in elems:
+            low = lowers[a]
+            s = fragment.sup(low)
+            if s is None:
+                yield f"sup undefined on the lower set of {a}"
+            elif not all(leq(x, s) for x in low) or not leq(s, a):
+                yield f"sup of lower set of {a} returned {s}"
+            elif aux(a, a) and s != a:
+                yield f"{a} is aux-compact but sup of its lower set is {s}"
+
+    def additive():
+        for a in elems:
+            for b in elems:
+                ab = cadd(a, b)
+                for a1 in lowers[a]:
+                    for b1 in lowers[b]:
+                        if not aux(cadd(a1, b1), ab):
+                            yield f"aux({a1}+{b1}, {a}+{b}) fails"
+
+    def cofinal():
+        for a in elems:
+            # Largest candidates first: a dominating split sum is usually
+            # found on the first try, keeping the search near linear.
+            rev_a = list(reversed(lowers[a]))
+            for b in elems:
+                ab = cadd(a, b)
+                rev_b = list(reversed(lowers[b]))
+                for c in lowers[ab]:
+                    if not any(leq(c, cadd(a1, b1)) for a1 in rev_a for b1 in rev_b):
+                        yield f"{c} aux-below {a}+{b} but no dominating split sum"
+
+    return [
+        _first("O1", directed()),
+        _first("O2", sup_ok()),
+        _first("O3", additive()),
+        _first("O4", cofinal()),
+    ]
+
+
+def outcome(check, fragment):
+    """Everything a checker prints for a fragment, or the escape it raises."""
+    try:
+        return [str(c) for c in check(fragment)]
+    except FragmentNotClosed as exc:
+        return f"FragmentNotClosed: {exc}"
+
+
+def agrees_with_reference(fragment):
+    expected = outcome(reference_check_wo_axioms, fragment)
+    assert outcome(check_wo_axioms, fragment) == expected
+    return expected
+
+
+EXTNAT_FAULTS = {
+    "none": lambda bound: {},
+    "overflow": lambda bound: {"add": overflow_to_inf(ExtNat(bound))},
+    "sup-none": lambda bound: {"sup": lambda values: None},
+    "unclamped": lambda bound: {"add": lambda x, y: x + y},
+}
+
+
+@pytest.mark.parametrize("fault", sorted(EXTNAT_FAULTS))
+@pytest.mark.parametrize("sup", ["max", "finite-only"])
+@pytest.mark.parametrize("aux", ["way-below", "leq"])
+def test_extnat_variants_match_the_reference(aux, sup, fault):
+    for bound in range(13):
+        fragment = extnat_fragment(bound, aux=aux, sup=sup)
+        agrees_with_reference(dataclasses.replace(fragment, **EXTNAT_FAULTS[fault](bound)))
+
+
+@pytest.mark.parametrize("fault", [f for f, _, _ in WITNESS_FAULTS])
+def test_witness_fragments_match_the_reference(fault):
+    agrees_with_reference(dataclasses.replace(extnat_fragment(2), **fault))
+
+
+def random_fragment(rng):
+    """1-7 elements with a random addition table and random, non-monotone
+    aux and leq relations; about one in ten has a sum that escapes."""
+    n = rng.randint(1, 7)
+    elements = list(range(n))
+    table = {(x, y): rng.randrange(n) for x in elements for y in elements}
+    if rng.random() < 0.1:
+        table[rng.choice(sorted(table))] = n
+    density = rng.random()
+    aux = {(x, y) for x in elements for y in elements if rng.random() < density}
+    leq = {(x, y) for x in elements for y in elements if rng.random() < 0.5}
+    sup = rng.choice([lambda values: max(values, default=None),
+                      lambda values: None,
+                      lambda values, top=rng.randrange(n): top])
+    return Fragment(
+        elements=elements,
+        add=lambda x, y: table[x, y],
+        zero=0,
+        leq=lambda x, y: (x, y) in leq,
+        aux=lambda x, y: (x, y) in aux,
+        sup=sup,
+    )
+
+
+def test_random_fragments_match_the_reference():
+    rng = random.Random(20)
+    outcomes = [agrees_with_reference(random_fragment(rng)) for _ in range(3000)]
+    # the set reaches every ending of O3: an escape, a failure and a pass
+    unclosed = [o for o in outcomes if isinstance(o, str)]
+    checked = [o for o in outcomes if isinstance(o, list)]
+    assert len(unclosed) >= 100
+    assert sum(o[2].startswith("O3: FAIL") for o in checked) >= 1000
+    assert sum(o[2] == "O3: pass" for o in checked) >= 100
