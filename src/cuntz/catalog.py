@@ -662,23 +662,35 @@ class NotDecidable(Exception):
     """Scale analysis is restricted to matrix pairs."""
 
 
+SCALE_LISTED = 16  # a scale of a larger rank budget prints as {0,1,…,budget}
+
+
 class ScaleNote(Record):
     n: int
     m: int
-    forward_scale: Tuple[int, ...]
-    backward_scale: Tuple[int, ...]
+    forward_budget: int
+    backward_budget: int
     invertible: bool
     strictly_invertible: bool
 
+    @property
+    def forward_scale(self) -> Tuple[int, ...]:
+        """{0, ..., floor(m/n)}, built on each read."""
+        return tuple(range(self.forward_budget + 1))
+
+    @property
+    def backward_scale(self) -> Tuple[int, ...]:
+        """{0, ..., floor(n/m)}, built on each read."""
+        return tuple(range(self.backward_budget + 1))
+
     def text(self) -> str:
-        fwd = "{" + ",".join(str(x) for x in self.forward_scale) + "}"
-        bwd = "{" + ",".join(str(x) for x in self.backward_scale) + "}"
+        fwd, bwd = self.forward_budget, self.backward_budget
         lines = [
             f"WW(M({self.n}),M({self.m})) has carrier ℕ₀∪{{∞}}.",
-            f"Scale from M({self.n}) to M({self.m}): {fwd} "
-            f"(rank budget floor({self.m}/{self.n}) = {self.m // self.n}).",
-            f"Scale from M({self.m}) to M({self.n}): {bwd} "
-            f"(rank budget floor({self.n}/{self.m}) = {self.n // self.m}).",
+            f"Scale from M({self.n}) to M({self.m}): {_scale_text(fwd)} "
+            f"(rank budget floor({self.m}/{self.n}) = {fwd}).",
+            f"Scale from M({self.m}) to M({self.n}): {_scale_text(bwd)} "
+            f"(rank budget floor({self.n}/{self.m}) = {bwd}).",
             "An invertible class exists: 1 composes with 1 to the identity class "
             "in both orders.",
         ]
@@ -688,7 +700,7 @@ class ScaleNote(Record):
                 "and the algebras are isomorphic."
             )
         else:
-            missing = "forward" if 1 not in self.forward_scale else "backward"
+            missing = "forward" if fwd < 1 else "backward"
             lines.append(
                 f"No strictly invertible class: 1 is missing from the {missing} "
                 "scale, which forces n = m for isomorphism."
@@ -696,34 +708,48 @@ class ScaleNote(Record):
         return " ".join(lines)
 
     def to_json(self) -> dict:
+        """The scales as lists up to a rank budget of ``SCALE_LISTED``; a
+        larger budget is given as ``forward_budget``/``backward_budget`` in
+        place of the list."""
         return {
             "n": self.n,
             "m": self.m,
-            "forward_scale": list(self.forward_scale),
-            "backward_scale": list(self.backward_scale),
+            **_scale_json("forward", self.forward_budget),
+            **_scale_json("backward", self.backward_budget),
             "invertible": self.invertible,
             "strictly_invertible": self.strictly_invertible,
             "note": self.text(),
         }
 
 
+def _scale_text(budget: int) -> str:
+    if budget > SCALE_LISTED:
+        return f"{{0,1,…,{budget}}}"
+    return "{" + ",".join(map(str, range(budget + 1))) + "}"
+
+
+def _scale_json(direction: str, budget: int) -> dict:
+    if budget > SCALE_LISTED:
+        return {f"{direction}_budget": budget}
+    return {f"{direction}_scale": list(range(budget + 1))}
+
+
 def scale_membership_note(a: AlgebraExpr, b: AlgebraExpr) -> ScaleNote:
     """Which classes of WW(M_n, M_m) come from maps M_n -> M_m.
 
-    The scale is the rank budget of unital-size bookkeeping, {0..floor(m/n)};
-    strict invertibility needs 1 in the scales of both directions.
+    The scale is the rank budget of unital-size bookkeeping, {0..floor(m/n)},
+    stored as its budget floor(m/n); strict invertibility needs 1 in the
+    scales of both directions.
     """
     a, b = _normal_pair(a, b)
     if not (isinstance(a, Mat) and isinstance(b, Mat)):
         raise NotDecidable("scale analysis is only implemented for matrix pairs")
     n, m = a.n, b.n
-    forward = tuple(range(0, m // n + 1))
-    backward = tuple(range(0, n // m + 1))
     return ScaleNote(
         n=n,
         m=m,
-        forward_scale=forward,
-        backward_scale=backward,
+        forward_budget=m // n,
+        backward_budget=n // m,
         invertible=True,
         strictly_invertible=(n == m),
     )

@@ -35,7 +35,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
-from math import inf, isfinite, sqrt
+from math import inf, isfinite
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 # The package's own modules before numpy: compiled from source where no
@@ -560,11 +560,43 @@ def oz_verify_witness(
 def _witness_residual(phi: OrderZeroMap, psi: OrderZeroMap, b: np.ndarray) -> float:
     """The residual of a witness given by psi's used rows and a set of its
     columns that starts with phi's used ones, in order: every other row and
-    column of every residual is zero.  All generators go through the
-    residual kernel of ``oz_witness_search`` and one stacked exact norm."""
-    pairs = _generator_images(phi, psi, psi.dense_blocks, phi.dense_blocks)
-    r = _residuals(b[None], pairs, _phi_images(pairs, b.shape[-1]))
+    column of every residual is zero.  All generators go through
+    ``_residuals`` and one stacked exact norm."""
+    pairs = _generator_images(phi, psi)
+    r = _residuals(b, pairs, _phi_images(pairs, b.shape[-1]))
     return float(_op_norms(r, phi.domain.is_commutative).max())
+
+
+def _paired_witness(phi: OrderZeroMap, psi: OrderZeroMap) -> np.ndarray:
+    """The witness b = (+)_i c_i (x) 1_{n_i} on psi's used rows and phi's
+    used columns.
+
+    On block i the top k = min(rank phi_i, rank psi_i) eigenpairs of both
+    maps that ``positive`` holds are paired in decreasing order, and
+    c_i = V_psi diag(sqrt(lambda/mu)) V_phi^T over them, one product;
+    c_i (x) 1_n is c_i on the n corners of the units E_rr (see
+    ``_corners``).  Block i's residual is then minus phi's part off the
+    paired eigenvectors, of norm sigma_{k+1}(H_i): phi's largest uncounted
+    |eigenvalue| where phi <= psi, and at most ``obstruction_margin`` on
+    an obstruction, which no witness beats.  A pair without a finite scale
+    (a positive exact eigenvalue of psi that underflows a float) stays out
+    and shows in the residual.
+    """
+    if phi.domain != psi.domain:
+        raise DomainMismatch("the witness needs a common domain")
+    b = np.zeros((psi.used, phi.used))
+    for i, n in enumerate(phi.domain.blocks):
+        (lam, vecs_phi), (mu, vecs_psi) = phi.positive[i], psi.positive[i]
+        k = min(len(lam), len(mu))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            scale = np.sqrt(lam[:k] / mu[:k])
+        kept = np.flatnonzero(np.isfinite(scale))
+        c = (vecs_psi[:, kept] * scale[kept]) @ vecs_phi[:, kept].T
+        rows, cols = psi.offsets[i], phi.offsets[i]
+        mq, mp = psi.mults[i], phi.mults[i]
+        for r in range(n):
+            b[rows + r : rows + mq * n : n, cols + r : cols + mp * n : n] = c
+    return b
 
 
 def oz_construct_witness(
@@ -572,29 +604,15 @@ def oz_construct_witness(
 ) -> WitnessReport:
     """Build the witness b = (+)_i c_i (x) 1_{n_i} for phi <= psi.
 
-    The eigenpairs of block i that ``positive`` holds are paired in
-    decreasing order and scaled by sqrt(lambda/mu) into c_i; c_i (x) 1_n is
-    c_i on the n corners of the units E_rr (see ``_corners``).  b is built
-    and verified on its used corner, psi's used rows and phi's used
-    columns, so the cost does not grow with the targets.  The residual
-    vanishes up to rounding.
+    Every counted eigenpair of phi is paired with one of psi and scaled by
+    sqrt(lambda/mu) into c_i (see ``_paired_witness``).  b is built and
+    verified on its used corner, psi's used rows and phi's used columns,
+    so the cost does not grow with the targets.  The residual vanishes up
+    to rounding.
     """
     if comparison_certificate(phi, psi) is not None:
         raise PreconditionViolated("phi is not below psi; no witness exists")
-    b = np.zeros((psi.used, phi.used))
-    for i, n in enumerate(phi.domain.blocks):
-        (lam, vecs_phi), (mu, vecs_psi) = phi.positive[i], psi.positive[i]
-        mq, mp = psi.mults[i], phi.mults[i]
-        c = np.zeros((mq, mp))
-        for x, col, y, row in zip(lam, vecs_phi.T, mu, vecs_psi.T):
-            scale = sqrt(x / y) if y else inf
-            # A positive exact eigenvalue of psi that underflows a float has
-            # no finite scale; its pair stays out and shows in the residual.
-            if scale < inf:
-                c += scale * np.outer(row, col)
-        rows, cols = psi.offsets[i], phi.offsets[i]
-        for r in range(n):
-            b[rows + r : rows + mq * n : n, cols + r : cols + mp * n : n] = c
+    b = _paired_witness(phi, psi)
     shape = (psi.target_dim, phi.target_dim)
     return WitnessReport(b, shape, _witness_residual(phi, psi, b), tol)
 
@@ -713,99 +731,30 @@ def oz_kronecker_rank(phi: OrderZeroMap, psi: OrderZeroMap) -> ExtNat:
 def oz_witness_search(
     phi: OrderZeroMap, psi: OrderZeroMap, samples: int = 10000, seed: int = 0
 ) -> float:
-    """Best residual over random witness candidates; deterministic per seed.
+    """The least residual max_g ||b^T psi(g) b - phi(g)|| over all witnesses
+    b, attained by ``_paired_witness``: ``obstruction_margin`` on an
+    obstruction.  Where phi <= psi it is 0 up to rounding and phi's
+    uncounted psd eigenvalues (at most 1e-10), which the witness leaves
+    out.  An exact eigenvalue of psi that underflows a float leaves more.
 
-    Candidates are Gaussian matrices with random scaling, drawn in chunks
-    of 512 in the eigenbases of both maps.  On block i, psi(g) and phi(g)
-    are H_i (x) E_rc, and H_i acts as diag(lambda) on its eigenvectors V
-    that the rank rule counts (``positive``).  A candidate Y stands for the
-    witness b = V_psi Y V_phi^T: it has sum rank(psi_i) n_i rows and
-    sum rank(phi_i) n_i columns, in place of b's used corner of
-    u(psi) x u(phi), and every corner is diagonal.  b meets psi(g) only
-    through V_psi^T b.  With P the projection onto phi's counted
-    eigenvectors, which commutes with phi(g),
-    r_g(bP) = P r_g(b) P - (1 - P) phi(g) (1 - P) is block-diagonal, so
-    compressing a candidate to phi's range raises no residual beyond the
-    norm of the second term: phi's largest uncounted |eigenvalue| over all
-    blocks (0 in diag mode, at most 1e-10 in psd mode).  That term is part
-    of the floor, so every value is the exact residual norm of the lifted b
-    against the whole of phi.  A Gaussian matrix is rotation invariant, so
-    V_psi^T b V_phi of a Gaussian b is Gaussian, and the best of
-    ``samples`` candidates is stochastically no higher than on the used
-    corner; the values per seed differ.
-
-    A generator g whose psi corner is zero (multiplicity 0, rank 0 under the
-    rank rule, such as a psd block of entries below 1e-10, or exact
-    eigenvalues below the float range) has the residual -phi(g) for every
-    candidate, of norm ||H_i||: the largest of these and the uncounted
-    term above make the floor, below which no candidate can go.  Where
-    every generator is of this kind, or phi has rank 0 everywhere (so a
-    candidate has no columns and b = 0 is the only one), the floor is the
-    answer and no candidate is drawn.
-
-    Each candidate is first screened by d, the largest |diagonal entry| of
-    its residuals r = Y^T diag(lambda) Y - diag(mu), which costs one pass
-    over Y and is at most its value.  The first chunk seeds the running
-    best with the exact value of its candidate of smallest d; only the
-    candidates whose d is below the running best go on to the batched
-    residual kernel.  There the largest column 2-norm of r, raised to the
-    floor, is a lower bound of a candidate's value, and exact norms
-    (stacked ``eigvalsh`` on a commutative domain, where every generator
-    is a diagonal unit and every residual symmetric, SVDs otherwise) are
-    taken in ascending order of that bound: the lowest alone, then batches
-    of 16, until the next bound reaches the running best.  Once the best is
-    the floor, no further chunk is drawn.  The returned minimum is the one
-    an exact norm of every candidate would give.
+    ``samples`` and ``seed`` are kept for callers that pass them: the seed
+    no longer changes the value, and ``samples <= 0`` returns inf, no
+    candidate tried.  The next benchmark revision (ROADMAP, benchmark v2)
+    drops both together with its call.
     """
-    rng = np.random.default_rng(seed)
-    symmetric = phi.domain.is_commutative
-    diags = [np.diag(lam) for lam, _ in psi.positive]
-    corners = [np.diag(mu) for mu, _ in phi.positive]
-    pairs = [(c, d) for c, d in _generator_images(phi, psi, diags, corners) if c[2].any()]
-    zero = [i for i, lam in enumerate(diags) if not lam.any()]
-    floor = max((abs(float(x)) for i, (w, _) in enumerate(phi.spectrum) for x in w
-                 if i in zero or not x > phi.cutoff), default=0.0)
-    sizes = phi.domain.blocks
-    rows = sum(len(lam) * n for lam, n in zip(diags, sizes))
-    width = sum(len(mu) * n for mu, n in zip(corners, sizes))
-    if not pairs or not width:
-        return floor if samples > 0 else inf
-    best = inf
-    chunk, batch = 512, 16
-    images = _phi_images(pairs, width)
-    draws = _zeros(max(0, min(chunk, samples)), rows, width)
-    left = samples
-    while left > 0 and best > floor:
-        s = min(chunk, left)
-        left -= s
-        ys = rng.standard_normal(out=draws[:s])
-        ys *= rng.uniform(0.05, 2.0, size=(s, 1, 1))
-        d = _diagonal_bounds(ys, pairs, images)
-        if best == inf:
-            seeded = _residuals(ys[[d.argmin()]], pairs, images)
-            best = max(float(_op_norms(seeded, symmetric).max()), floor)
-        ys = ys[np.maximum(d, floor) < best]
-        r = _residuals(ys, pairs, images)
-        columns = np.einsum("sgij,sgij->sgj", r, r).max(axis=(1, 2), initial=0.0)
-        lower = np.maximum(np.sqrt(columns), floor)
-        order = np.argsort(lower)
-        start, size = 0, 1
-        while start < len(ys) and lower[order[start]] < best:
-            idx = order[start : start + size]
-            idx = idx[lower[idx] < best]
-            value = float(_op_norms(r[idx], symmetric).max(axis=1).min())
-            best = min(best, max(value, floor))
-            start, size = start + size, batch
-    return best
+    if samples <= 0:
+        return inf
+    return _witness_residual(phi, psi, _paired_witness(phi, psi))
 
 
 def obstruction_margin(phi: OrderZeroMap, psi: OrderZeroMap) -> float:
     """max_i sigma_{r_i + 1}(H_i) over phi's blocks, r_i the rank of psi's
-    block i: a lower bound on the residual of every witness candidate.
+    block i: a lower bound on the residual of every witness, which
+    ``oz_witness_search`` attains on an obstruction.
 
     b^T psi(E_11) b has rank at most r_i on the unit E_11 of block i, and
     phi(E_11) has the singular values of H_i, so by Eckart-Young-Mirsky no
-    candidate comes closer to it than the (r_i + 1)-th of them (0 where H_i
+    witness comes closer to it than the (r_i + 1)-th of them (0 where H_i
     has no more).  It is 0 when phi <= psi up to psd eigenvalues below the
     cutoff, and exact in diag mode up to the final float conversion.
     """
@@ -832,17 +781,11 @@ def rank_cutoff(
     return EIG_CUTOFF, float(phi.positive[i][0][-1]), max(uncounted, default=None)
 
 
-def _generator_images(
-    phi: OrderZeroMap, psi: OrderZeroMap, psi_blocks: Sequence[np.ndarray],
-    phi_blocks: Sequence[np.ndarray],
-) -> List[Tuple[Corner, Corner]]:
-    """The corners of psi(g) and phi(g) for every matrix-unit generator g,
-    laid out from ``psi_blocks`` and ``phi_blocks`` in place of the maps'
-    own blocks."""
-    if phi.domain != psi.domain:
-        raise DomainMismatch("the generator images need a common domain")
+def _generator_images(phi: OrderZeroMap, psi: OrderZeroMap) -> List[Tuple[Corner, Corner]]:
+    """The corners of psi(g) and phi(g) for every matrix-unit generator g
+    of their common domain."""
     sizes = phi.domain.blocks
-    return list(zip(_corners(psi_blocks, sizes), _corners(phi_blocks, sizes)))
+    return list(zip(_corners(psi.dense_blocks, sizes), _corners(phi.dense_blocks, sizes)))
 
 
 def _corners(blocks: Sequence[np.ndarray], sizes: Sequence[int]) -> List[Corner]:
@@ -875,36 +818,17 @@ def _phi_images(pairs: Sequence[Tuple[Corner, Corner]], width: int) -> np.ndarra
 
 
 def _residuals(
-    bs: np.ndarray, pairs: Sequence[Tuple[Corner, Corner]], images: np.ndarray
+    b: np.ndarray, pairs: Sequence[Tuple[Corner, Corner]], images: np.ndarray
 ) -> np.ndarray:
-    """r[s, g] = bs[s]^T psi(g) bs[s] - phi(g) for a stack of witnesses, with
-    psi(g) given by its corner in ``pairs``: only the rows of bs that psi(g)
-    meets take part.  The stack ``images`` of every phi(g)
-    (``_phi_images``) is subtracted in one pass, which walks r in memory
-    order; subtracting each corner from r[:, g] would stride across the
-    candidates."""
-    r = np.empty((len(bs),) + images.shape)
+    """r[g] = b^T psi(g) b - phi(g) for every generator g, with psi(g) given
+    by its corner in ``pairs``: only the rows of b that psi(g) meets take
+    part.  The stack ``images`` of every phi(g) (``_phi_images``) is
+    subtracted in one pass."""
+    r = np.empty(images.shape)
     for g, ((rows, cols, h), _) in enumerate(pairs):
-        np.matmul(bs[:, rows].swapaxes(-1, -2) @ h, bs[:, cols], out=r[:, g])
+        np.matmul(b[rows].T @ h, b[cols], out=r[g])
     r -= images
     return r
-
-
-def _diagonal_bounds(
-    ys: np.ndarray, pairs: Sequence[Tuple[Corner, Corner]], images: np.ndarray
-) -> np.ndarray:
-    """max_g max_j |r[s, g, j, j]| for every candidate of the stack ``ys``,
-    r as in ``_residuals`` with psi's corners diagonal, from Y alone:
-    sum_k lambda_k y[rows_k, j] y[cols_k, j] - phi(g)[j, j].  It costs one
-    pass over each candidate's rows, and it is at most the largest
-    operator norm of its residuals.  The entries are laid out candidate
-    last, so that the final reduction runs over whole rows of candidates
-    instead of a few entries per candidate."""
-    out = np.empty(images.shape[:2] + (len(ys),))
-    for g, ((rows, cols, h), _) in enumerate(pairs):
-        np.einsum("skj,k->js", ys[:, rows] * ys[:, cols], h.diagonal(), out=out[g])
-    out -= np.diagonal(images, axis1=1, axis2=2)[..., None]
-    return np.abs(out, out=out).max(axis=(0, 1))
 
 
 def _op_norms(m: np.ndarray, symmetric: bool = False) -> np.ndarray:

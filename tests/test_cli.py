@@ -176,6 +176,20 @@ def test_classify_scale_note_for_unequal_sizes(capsys):
     assert "note" in doc["scale"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("pair", [("C", "M(1000000000000000000000000)"),
+                                  ("M(2000000000000000000000000)", "M(2)")])
+def test_classify_of_25_digit_matrix_sizes_prints_a_bounded_scale(capsys, pair, fmt):
+    # the scale {0, ..., floor(m/n)} is printed by its rank budget, not
+    # member by member
+    assert main(["classify", *pair, "--format", fmt]) == 0
+    out, err = capsys.readouterr()
+    assert len((out + err).encode()) < 2000
+    if fmt == "json":
+        budgets = json.loads(out)["scale"]
+        assert 10**24 in (budgets.get("forward_budget"), budgets.get("backward_budget"))
+
+
 def test_classify_undecided_exits_3(capsys):
     assert main(["classify", "CAR", "Z"]) == 3
     out = capsys.readouterr().out
