@@ -174,37 +174,26 @@ class OrderZeroMap(Record):
         return self.dense_blocks[i]
 
     def apply(self, element: Element) -> np.ndarray:
-        """Evaluate the map on a domain element, given block by block: the
-        image on the used corner, zero-padded to the target dimension."""
-        corner = self._used_image(element)
-        out = _zeros(self.target_dim, self.target_dim)
-        out[: self.used, : self.used] = corner
-        return out
-
-    def _used_image(self, element: Element, lead: Tuple[int, ...] = ()) -> np.ndarray:
-        """The image of ``apply`` on its used corner, the first u rows and
-        columns, outside which it vanishes.  With ``lead`` = (s,), every
-        block of ``element`` is a stack of s matrices, and so is the image;
-        a block that is zero in every element of the stack is left out.
-
-        Block i of the image is the Kronecker product H_i (x) a_i, built as
-        one broadcast product of its entries."""
+        """Evaluate the map on a domain element, given block by block.  Block
+        i of the image is the Kronecker product H_i (x) a_i, one broadcast
+        product of its entries, on the used corner (the first u rows and
+        columns); the image is zero-padded to the target dimension, which
+        is allocated once every block of the element is checked."""
         if len(element) != len(self.domain.blocks):
             raise DimensionMismatch(
                 f"element has {len(element)} blocks, domain has {len(self.domain.blocks)}"
             )
-        out = np.zeros(lead + (self.used, self.used))
+        pieces = []
         for i, (m, n, off) in enumerate(zip(self.mults, self.domain.blocks, self.offsets)):
-            if m == 0:
-                continue
-            a = np.atleast_2d(np.asarray(element[i], dtype=float))
-            if a.shape != lead + (n, n):
-                raise DimensionMismatch(f"block {i} must be {n}x{n}, got {a.shape}")
-            if lead and not a.any():
-                continue  # a probe stack; apply writes the -0.0 of H_i (x) 0, as np.kron does
-            h = self.dense_blocks[i]
-            piece = h[:, None, :, None] * a[..., None, :, None, :]
-            out[..., off : off + m * n, off : off + m * n] = piece.reshape(lead + (m * n,) * 2)
+            if m:
+                a = np.atleast_2d(np.asarray(element[i], dtype=float))
+                if a.shape != (n, n):
+                    raise DimensionMismatch(f"block {i} must be {n}x{n}, got {a.shape}")
+                piece = self.dense_blocks[i][:, None, :, None] * a[None, :, None, :]
+                pieces.append((slice(off, off + m * n), piece.reshape(m * n, m * n)))
+        out = _zeros(self.target_dim, self.target_dim)
+        for span, piece in pieces:
+            out[span, span] = piece
         return out
 
     @cached_property
@@ -353,62 +342,36 @@ class OrthogonalityReport(Record):
 
     @property
     def vacuous(self) -> bool:
-        """No orthogonal pair was probed, so ``passed`` carries no evidence."""
+        """No trial: the domain has no orthogonal pair, or no trial was
+        asked for.  ``passed`` then carries no evidence."""
         return self.trials == 0
-
-
-# The order-zero probe draws and images its trials in chunks of at most
-# PROBE_CHUNK trials and PROBE_FLOATS floats (1 MB) in a chunk's stacks:
-# larger stacks leave the cache, and from a used dimension of about 100 on,
-# a chunk of them took longer than its trials one by one.
-PROBE_CHUNK = 512
-PROBE_FLOATS = 2**17
 
 
 def oz_check_order_zero(
     phi, trials: int = 50, seed: int = 0, tol: float = 1e-9
 ) -> OrthogonalityReport:
-    """Probe the order zero identity on random orthogonal positive pairs.
+    """Check the order zero identity: phi(a) phi(b) = 0 wherever ab = 0.
 
-    Accepts any object with ``domain`` and ``apply``; pairs are supported on
-    disjoint coordinate sets (inside one block or across two blocks), so
-    their product vanishes in the domain and must vanish in the image.  Only
-    the nonzero support of the two images is multiplied and normed.
-
-    The pairs come in chunks (``_probe_pairs``).  An ``OrderZeroMap`` images
-    a whole chunk at once on the used corner, where that support lies, and
-    one reduction finds the trials whose supports meet: only those are
-    multiplied, and on an order-zero map there are none.  The report is the
-    dense one, the cost does not grow with ``target_dim``, and a chunk holds
-    at most 512 trials and about 2^17 floats, so memory stays bounded for
-    any number of trials and any used dimension.  Any other object is
-    probed pair by pair through ``apply``.
+    An ``OrderZeroMap`` is decided by its block form, with nothing drawn:
+    phi(a) phi(b) = (+)_i H_i^2 (x) a_i b_i vanishes wherever ab does.  Its
+    report is the probe's, to the bit: violation 0.0, ``passed`` when
+    0.0 <= tol, and the trials the probe would run.  Any other object with
+    ``domain`` and ``apply`` is probed on ``trials`` seeded orthogonal
+    pairs (``_probe_pair``); only the nonzero support of the two images is
+    multiplied and normed.  A one-point domain has no pair to try.
     """
-    rng = random.Random(seed)
     sizes = phi.domain.blocks
     options = (["cross"] if len(sizes) >= 2 else []) + (
         ["split"] if any(n >= 2 for n in sizes) else []
     )
-    stacked = isinstance(phi, OrderZeroMap)
-    width = sum(n * n for n in sizes) + (phi.used**2 if stacked else 0)
-    chunk = max(1, min(PROBE_CHUNK, PROBE_FLOATS // (2 * width)))
+    done = max(trials, 0) if options else 0
+    if isinstance(phi, OrderZeroMap):
+        return OrthogonalityReport(0.0 <= tol, 0.0, done, tol)
+    rng = random.Random(seed)
     worst = 0.0
-    done = 0
-    while options and done < trials:
-        s = min(chunk, trials - done)
-        a, b = _probe_pairs(sizes, options, s, rng)
-        if stacked:
-            va = phi._used_image(a, (s,))
-            vb = phi._used_image(b, (s,))
-            meet = (va.any(axis=-2) & vb.any(axis=-1)).any(axis=-1)
-            images = ((va[t], vb[t]) for t in np.flatnonzero(meet))
-        else:
-            images = (
-                (phi.apply([x[t] for x in a]), phi.apply([x[t] for x in b])) for t in range(s)
-            )
-        for va_t, vb_t in images:
-            worst = max(worst, op_norm(_support_product(va_t, vb_t)))
-        done += s
+    for _ in range(done):
+        a, b = _probe_pair(sizes, options, rng)
+        worst = max(worst, op_norm(_support_product(phi.apply(a), phi.apply(b))))
     return OrthogonalityReport(worst <= tol, worst, done, tol)
 
 
@@ -422,49 +385,33 @@ def _support_product(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
     return a[a.any(axis=1)] @ b[:, b.any(axis=0)]
 
 
-def _probe_pairs(
-    sizes: Sequence[int], options: Sequence[str], count: int, rng: random.Random
-) -> List[List[np.ndarray]]:
-    """``count`` orthogonal pairs of positive contractions, as two element
-    stacks: block i of each is an array of shape (count, n_i, n_i).
+def _probe_pair(
+    sizes: Sequence[int], options: Sequence[str], rng: random.Random
+) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """An orthogonal pair of positive contractions, as two elements: one on
+    each of two blocks ("cross") or on complementary coordinate sets of one
+    block ("split").  Each is m / ||m|| for m = g g^T, g a Gaussian matrix
+    whose entries come from ``rng`` row by row, the first element's first."""
 
-    A "cross" pair puts one contraction on each of two blocks, a "split"
-    pair puts them on complementary coordinate sets of one block.  Each
-    contraction is m / ||m|| for m = g g^T, g a Gaussian matrix; every draw
-    comes from ``rng`` in trial order, and all draws of one size are
-    multiplied and normed in one stacked ``matmul`` and ``eigvalsh``.
-    """
-    k = len(sizes)
-    splittable = [i for i, n in enumerate(sizes) if n >= 2]
-    draws = {}  # size -> the Gaussian entries of every draw of that size
-    groups = {}  # (side, block, size) -> [(trial, coordinates, draw index)]
-    for t in range(count):
-        if rng.choice(options) == "cross":
-            i, j = rng.sample(range(k), 2)
-            halves = ((i, range(sizes[i])), (j, range(sizes[j])))
-        else:
-            i = rng.choice(splittable)
-            n = sizes[i]
-            cut = rng.randrange(1, n)
-            coords = list(range(n))
-            rng.shuffle(coords)
-            halves = ((i, coords[:cut]), (i, coords[cut:]))
-        for side, (i, coords) in enumerate(halves):
-            n = len(coords)
-            pool = draws.setdefault(n, [])
-            groups.setdefault((side, i, n), []).append((t, coords, len(pool) // (n * n)))
-            pool.extend([rng.gauss(0, 1) for _ in range(n * n)])
-    psd = {}
-    for n, pool in draws.items():
-        g = np.array(pool).reshape(-1, n, n)
-        m = g @ g.swapaxes(-1, -2)
-        top = np.linalg.eigvalsh(m).max(axis=-1)
-        psd[n] = m / np.where(top > 0, top, 1.0)[:, None, None]
-    out = [[np.zeros((count, n, n)) for n in sizes] for _ in range(2)]
-    for (side, i, n), group in groups.items():
-        t, coords, index = (np.array(x) for x in zip(*group))
-        out[side][i][t[:, None, None], coords[:, :, None], coords[:, None, :]] = psd[n][index]
-    return out
+    def contraction(n: int) -> np.ndarray:
+        g = np.array([rng.gauss(0, 1) for _ in range(n * n)]).reshape(n, n)
+        m = g @ g.T
+        top = np.linalg.eigvalsh(m).max()
+        return m / top if top > 0 else m
+
+    a, b = ([np.zeros((n, n)) for n in sizes] for _ in "ab")
+    if rng.choice(options) == "cross":
+        i, j = rng.sample(range(len(sizes)), 2)
+        a[i], b[j] = contraction(sizes[i]), contraction(sizes[j])
+    else:
+        i = rng.choice([k for k, n in enumerate(sizes) if n >= 2])
+        n = sizes[i]
+        cut = rng.randrange(1, n)
+        coords = list(range(n))
+        rng.shuffle(coords)
+        a[i][np.ix_(coords[:cut], coords[:cut])] = contraction(cut)
+        b[i][np.ix_(coords[cut:], coords[cut:])] = contraction(n - cut)
+    return a, b
 
 
 def oz_eps_cut(phi: OrderZeroMap, eps) -> OrderZeroMap:
@@ -893,7 +840,7 @@ def oz_from_json(doc: dict) -> OrderZeroMap:
     if len(raw_blocks) != len(mults):
         raise DimensionMismatch("need one block matrix per multiplicity")
     blocks = []
-    for m, rows in zip(mults, raw_blocks):
+    for k, (m, rows) in enumerate(zip(mults, raw_blocks)):
         if len(rows) != m or any(len(r) != m for r in rows):
             raise DimensionMismatch(f"block must be {m}x{m}")
         if mode == DIAG:
@@ -909,6 +856,12 @@ def oz_from_json(doc: dict) -> OrderZeroMap:
                         )
             blocks.append(diag)
         else:
+            # Not float() alone: it would read true as 1.0.
+            bools = [(r, c) for r in range(m) for c in range(m) if type(rows[r][c]) is bool]
+            if bools:
+                r, c = bools[0]
+                x = str(rows[r][c]).lower()
+                raise ValueError(f"psd block {k} entry ({r}, {c}) must be a number, got {x}")
             blocks.append(np.array([[float(x) for x in r] for r in rows]).reshape(m, m))
     target_dim = _json_int(doc["target_dim"], "target_dim")
     return oz_new(domain, target_dim, mults, blocks, mode)

@@ -304,7 +304,7 @@ class DenseProbe:
 
 
 def test_criterion_3_corpus_checks_as_the_dense_probe():
-    # The check on the used corner gives the dense probe's report, to the bit.
+    # The check read from the block form gives the dense probe's report, to the bit.
     for case, phi, psi in criterion_3_corpus():
         for m in (phi, psi):
             report = oz_check_order_zero(m, trials=10, seed=case)

@@ -436,6 +436,17 @@ def test_oz_rejects_non_finite_psd_block(tmp_path, capsys, entry):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_oz_refuses_a_bool_psd_entry(tmp_path, capsys):
+    # [[true]] was read as [[1.0]]: compare printed equal and exited 0
+    doc = {"schema": SCHEMA, "domain": [1], "target_dim": 1, "mult": [1],
+           "blocks": [[[True]]], "mode": "psd"}
+    bad = write(tmp_path, "bad.json", doc)
+    assert main(["oz", "compare", bad, bad]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("invalid map document: psd block 0 entry (0, 0) must be a number, got true\n")
+
+
 def huge_and_ok(tmp_path):
     """A map into a target of 10^30 that uses 1 dimension, and one into 3."""
     big = {**diag_map_doc(10**30, ["1/2"]), "domain": [1, 1], "mult": [1, 0],

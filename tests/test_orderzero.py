@@ -1,5 +1,4 @@
 import json
-import random
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -371,7 +370,7 @@ def test_order_zero_check_on_the_used_corner_equals_the_dense_probe(
     mode, sizes, ranks, spare, seed
 ):
     # Commutative domains (all sizes 1) and non-commutative ones: the report
-    # of the corner probe is the dense one, to the bit.
+    # read from the block form is the dense probe's, to the bit.
     phi = block_map(np.random.default_rng(seed), mode, sizes, ranks[: len(sizes)], spare)
     report = oz_check_order_zero(phi, trials=12, seed=seed)
     assert report == oz_check_order_zero(DenseProbe(phi), trials=12, seed=seed)
@@ -379,8 +378,10 @@ def test_order_zero_check_on_the_used_corner_equals_the_dense_probe(
 
 
 def test_order_zero_check_reads_no_dense_image(monkeypatch):
+    # A map is decided by its block form: no pair is drawn, none is imaged.
     phi = diag_map(findim(1, 2), 9, (F(1, 2),), (F(1), F(1, 4)))
     monkeypatch.setattr(type(phi), "apply", lambda self, element: pytest.fail("dense image"))
+    monkeypatch.setattr(orderzero, "_probe_pair", lambda *args: pytest.fail("pair drawn"))
     report = oz_check_order_zero(phi, trials=10, seed=3)
     assert report.passed and report.trials == 10
 
@@ -405,99 +406,21 @@ def test_scalar_domain_has_no_orthogonal_pairs():
     assert report.vacuous
 
 
-def reference_probe_pairs(sizes, trials, seed):
-    """The pairs of the order-zero probe drawn and normalised one trial at a
-    time, each contraction m / ||m|| for m = g g^T, as separate element
-    lists."""
-    rng = random.Random(seed)
-
-    def psd(n):
-        g = np.array([[rng.gauss(0, 1) for _ in range(n)] for _ in range(n)])
-        m = g @ g.T
-        top = np.linalg.eigvalsh(m).max()
-        return m / top if top > 0 else m
-
-    options = (["cross"] if len(sizes) >= 2 else []) + (
-        ["split"] if any(n >= 2 for n in sizes) else []
-    )
-    out = []
-    for _ in range(trials):
-        a, b = ([np.zeros((n, n)) for n in sizes] for _ in "ab")
-        if rng.choice(options) == "cross":
-            i, j = rng.sample(range(len(sizes)), 2)
-            a[i], b[j] = psd(sizes[i]), psd(sizes[j])
-        else:
-            i = rng.choice([k for k, n in enumerate(sizes) if n >= 2])
-            cut = rng.randrange(1, sizes[i])
-            coords = list(range(sizes[i]))
-            rng.shuffle(coords)
-            a[i][np.ix_(coords[:cut], coords[:cut])] = psd(cut)
-            b[i][np.ix_(coords[cut:], coords[cut:])] = psd(sizes[i] - cut)
-        out.append((a, b))
-    return out, options
-
-
-@pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 1, 3), (4,)])
-def test_probe_pairs_are_the_pairs_drawn_one_trial_at_a_time(sizes):
-    # One stream, in trial order, and one stacked matmul and eigvalsh per
-    # size: every element equals the one drawn and normalised on its own.
-    for count, seed in ((1, 0), (37, 5), (300, 9)):
-        reference, options = reference_probe_pairs(sizes, count, seed)
-        stacks = orderzero._probe_pairs(sizes, options, count, random.Random(seed))
-        for t, pair in enumerate(reference):
-            for side, element in enumerate(pair):
-                for x, stack in zip(element, stacks[side]):
-                    assert stack[t].tobytes() == x.tobytes()
-
-
-@pytest.mark.parametrize("trials", [0, 1, 511, 512, 513, 1100])
+@pytest.mark.parametrize("trials, tol", [
+    (0, 1e-9), (1, 1e-9), (511, 1e-9), (512, 1e-9), (513, 1e-9), (1100, 1e-9),
+    (-3, 1e-9), (20, 0.0), (20, -1.0), (20, float("nan")),
+], ids=["0", "1", "511", "512", "513", "1100", "-3", "20-tol0", "20-tol-1", "20-tolnan"])
 @pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 1, 3)])
 @pytest.mark.parametrize("mode", ["diag", "psd"])
-def test_chunked_check_equals_the_dense_probe_at_the_chunk_edges(mode, sizes, trials):
-    # A chunk holds 512 trials: 511, 512 and 513 sit at its edge, and 1,100
-    # take three chunks.  Commutative and non-commutative domains.
-    phi = block_map(np.random.default_rng(trials), mode, list(sizes), [1, 2, 1], 2)
-    report = oz_check_order_zero(phi, trials=trials, seed=trials + 1)
-    assert report == oz_check_order_zero(DenseProbe(phi), trials=trials, seed=trials + 1)
-    assert report.passed and report.trials == trials
-    assert report.vacuous == (trials == 0)
-
-
-def count_images(monkeypatch):
-    """The leading axes of every call to ``OrderZeroMap._used_image``."""
-    calls, used_image = [], OrderZeroMap._used_image
-    monkeypatch.setattr(
-        OrderZeroMap,
-        "_used_image",
-        lambda self, element, lead=(): calls.append(lead) or used_image(self, element, lead),
-    )
-    return calls
-
-
-def test_the_check_images_each_side_of_a_chunk_in_one_call(monkeypatch):
-    calls = count_images(monkeypatch)
-    small = diag_map(findim(1, 2), 9, (F(1), F(1, 2)), (F(1, 4), F(1, 8)))
-    assert oz_check_order_zero(small, trials=1100, seed=0).passed
-    assert calls == [(512,)] * 4 + [(76,)] * 2
-    # u = 50: 2^17 floats in all hold the elements and images of
-    # 2^16 // (50^2 + 2) = 26 trials, which bounds the memory of a chunk
-    calls.clear()
-    wide = diag_map(findim(1, 1), 50, (F(1, 2),) * 40, (F(1, 4),) * 10)
-    assert oz_check_order_zero(wide, trials=60, seed=0).passed
-    assert calls == [(26,)] * 4 + [(8,)] * 2
-
-
-def test_a_check_with_a_used_corner_in_the_thousands_forms_no_product(monkeypatch):
-    # u = 1,001: each chunk is one trial, its two images are the only u x u
-    # arrays, and their supports never meet, so nothing is multiplied.
-    phi = diag_map(findim(1, 1), 1001, tuple(F(k % 8 + 1, 8) for k in range(1000)), (F(1, 2),))
-    calls = count_images(monkeypatch)
-    monkeypatch.setattr(orderzero, "_support_product", lambda va, vb: pytest.fail("product"))
-    report = oz_check_order_zero(phi, trials=6, seed=2)
-    monkeypatch.undo()
-    assert calls == [(1,)] * 12
-    assert report.passed and report.trials == 6
-    assert report == oz_check_order_zero(DenseProbe(phi), trials=6, seed=2)
+def test_chunked_check_equals_the_dense_probe_at_the_chunk_edges(mode, sizes, trials, tol):
+    # Commutative and non-commutative domains, up to 1,100 trials, a
+    # negative count and the tolerances 0, negative and NaN: the block form
+    # gives the probe's report, trials max(trials, 0) and passed 0.0 <= tol.
+    phi = block_map(np.random.default_rng(abs(trials)), mode, list(sizes), [1, 2, 1], 2)
+    report = oz_check_order_zero(phi, trials=trials, seed=trials + 1, tol=tol)
+    assert report == oz_check_order_zero(DenseProbe(phi), trials=trials, seed=trials + 1, tol=tol)
+    assert report.trials == max(trials, 0) and report.vacuous == (trials <= 0)
+    assert report.passed == (tol >= 0) and report.max_violation == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -951,6 +874,9 @@ def test_a_target_too_large_for_a_dense_matrix_is_a_dimension_mismatch():
     big = oz_new(findim(1, 1), 10**30, [1, 0], [(F(1, 2),), ()], "diag")
     with pytest.raises(DimensionMismatch, match="target_dim"):
         big.apply([np.eye(1), np.eye(1)])
+    # a malformed element is refused before the target is allocated
+    with pytest.raises(DimensionMismatch, match="block 0 must be 1x1"):
+        big.apply([np.eye(2), np.eye(1)])
 
 
 def test_the_order_zero_check_at_a_huge_target_is_the_check_on_the_used_corner():
@@ -1466,6 +1392,20 @@ def test_json_reads_every_off_diagonal_literal_as_a_fraction_would(literal, erro
         with pytest.raises(kind) as caught:
             oz_from_json(doc)
         assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("entry, r, c", [(True, 0, 0), (False, 1, 0), (True, 1, 1)])
+def test_json_refuses_a_bool_psd_entry(entry, r, c):
+    # float() would read true as 1.0 and false as 0.0; a diag block refuses both
+    rows = [[0.5, 0.0], [0.0, 0.25]]
+    rows[r][c] = entry
+    doc = {"domain": [1], "target_dim": 2, "mult": [2], "mode": "psd", "blocks": [rows]}
+    with pytest.raises(ValueError) as caught:
+        oz_from_json(doc)
+    message = f"psd block 0 entry ({r}, {c}) must be a number, got {str(entry).lower()}"
+    assert str(caught.value) == message
+    rows[r][c] = float(entry)
+    assert oz_from_json(doc).ranks == (2,)
 
 
 def test_json_parses_only_the_diagonal_of_a_large_diag_block(monkeypatch):
