@@ -8,7 +8,6 @@ from cuntz.waxioms import (
     Fragment,
     FragmentNotClosed,
     _first,
-    _greatest,
     check_wm_axioms,
     check_wo_axioms,
     extnat_fragment,
@@ -153,9 +152,17 @@ def test_morphism_escaping_target_raises():
     assert [c.axiom for c in failures(checks)] == ["M1"]
 
 
-# The differential oracle: the generator checker as it stood before O3 moved
-# to bitmasks, kept verbatim.  check_wo_axioms must agree with it on every
-# fragment, including which addition raises FragmentNotClosed.
+# The differential oracles: the generator checkers as they stood before O1,
+# O3 and M1 moved to bitmasks, kept verbatim.  check_wo_axioms and
+# check_wm_axioms must agree with them on every fragment, including which
+# addition or image raises FragmentNotClosed.
+
+
+def _greatest(values, leq):
+    for x in values:
+        if all(leq(y, x) for y in values):
+            return x
+    return None
 
 
 def reference_check_wo_axioms(fragment: Fragment):
@@ -222,10 +229,37 @@ def reference_check_wo_axioms(fragment: Fragment):
     ]
 
 
-def outcome(check, fragment):
-    """Everything a checker prints for a fragment, or the escape it raises."""
+def reference_check_wm_axioms(morphism, source: Fragment, target: Fragment):
+    images = {}
+    for s in source.elements:
+        m = morphism(s)
+        if m not in target:
+            raise FragmentNotClosed(f"image {m} of {s} escapes the target fragment")
+        images[s] = m
+
+    def continuity():
+        for s in source.elements:
+            fs = images[s]
+            for t in target.elements:
+                if target.aux(t, fs) and not any(
+                    source.aux(s1, s) and target.leq(t, images[s1])
+                    for s1 in source.elements
+                ):
+                    yield f"aux({t}, f({s})) has no lift below {s}"
+
+    def preserves():
+        for a in source.elements:
+            for b in source.elements:
+                if source.aux(a, b) and not target.aux(images[a], images[b]):
+                    yield f"aux({a}, {b}) holds but aux(f({a}), f({b})) fails"
+
+    return [_first("M1", continuity()), _first("M2", preserves())]
+
+
+def outcome(check, *fragments):
+    """Everything a checker prints for its arguments, or the escape it raises."""
     try:
-        return [str(c) for c in check(fragment)]
+        return [str(c) for c in check(*fragments)]
     except FragmentNotClosed as exc:
         return f"FragmentNotClosed: {exc}"
 
@@ -251,6 +285,16 @@ def test_extnat_variants_match_the_reference(aux, sup, fault):
     for bound in range(13):
         fragment = extnat_fragment(bound, aux=aux, sup=sup)
         agrees_with_reference(dataclasses.replace(fragment, **EXTNAT_FAULTS[fault](bound)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("aux", ["way-below", "leq"])
+def test_extnat_scalings_match_the_reference(aux, k):
+    for bound in range(13):
+        fragment = extnat_fragment(bound, aux=aux)
+        scale = extnat_scaling(fragment, k)
+        expected = outcome(reference_check_wm_axioms, scale, fragment, fragment)
+        assert outcome(check_wm_axioms, scale, fragment, fragment) == expected
 
 
 @pytest.mark.parametrize("fault", [f for f, _, _ in WITNESS_FAULTS])
@@ -291,3 +335,55 @@ def test_random_fragments_match_the_reference():
     assert len(unclosed) >= 100
     assert sum(o[2].startswith("O3: FAIL") for o in checked) >= 1000
     assert sum(o[2] == "O3: pass" for o in checked) >= 100
+
+
+def with_a_repeat(rng, fragment):
+    """The fragment with one of its elements listed a second time."""
+    elements = list(fragment.elements)
+    elements.insert(rng.randint(0, len(elements)), rng.choice(elements))
+    return dataclasses.replace(fragment, elements=elements)
+
+
+def test_random_fragments_with_a_repeated_element_match_the_reference():
+    # A mask built by adding bits, not or-ing them, counts a repeated
+    # element twice; only fragments like these tell the two apart.
+    rng = random.Random(23)
+    outcomes = [agrees_with_reference(with_a_repeat(rng, random_fragment(rng)))
+                for _ in range(3000)]
+    unclosed = [o for o in outcomes if isinstance(o, str)]
+    checked = [o for o in outcomes if isinstance(o, list)]
+    assert len(unclosed) >= 100
+    assert sum("not directed" in o[0] for o in checked) >= 1000
+    assert sum("greatest element" in o[0] for o in checked) >= 500
+    assert sum(o[0] == "O1: pass" for o in checked) >= 100
+    assert sum(o[2].startswith("O3: FAIL") for o in checked) >= 1000
+
+
+def random_morphism(rng, source, target):
+    """A random map from the source's elements to the target's; about one
+    in ten sends an element outside the target."""
+    top = max(target.elements) + 1
+    image = {s: rng.randrange(top) for s in source.elements}
+    if rng.random() < 0.1:
+        image[rng.choice(source.elements)] = top
+    return image.__getitem__
+
+
+def test_random_morphisms_match_the_reference():
+    rng = random.Random(24)
+    outcomes = []
+    for _ in range(3000):
+        source, target = random_fragment(rng), random_fragment(rng)
+        if rng.random() < 0.5:
+            source = with_a_repeat(rng, source)
+        if rng.random() < 0.5:
+            target = with_a_repeat(rng, target)
+        f = random_morphism(rng, source, target)
+        expected = outcome(reference_check_wm_axioms, f, source, target)
+        assert outcome(check_wm_axioms, f, source, target) == expected
+        outcomes.append(expected)
+    # every ending of M1: an escaping image, a failure and a pass
+    checked = [o for o in outcomes if isinstance(o, list)]
+    assert len(outcomes) - len(checked) >= 100
+    assert sum(o[0].startswith("M1: FAIL") for o in checked) >= 500
+    assert sum(o[0] == "M1: pass" for o in checked) >= 500
