@@ -24,7 +24,7 @@ factors into stabilization), never theorems about the invariants themselves.
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .record import Record
 from .supernatural import (
@@ -442,16 +442,6 @@ def normalize(expr: AlgebraExpr) -> AlgebraExpr:
 # ---------------------------------------------------------------------------
 # Structural predicates used by the rewrite engine.
 
-def leaves(expr: AlgebraExpr) -> Iterator[AlgebraExpr]:
-    if isinstance(expr, _Chain):
-        for item in expr.items:
-            yield from leaves(item)
-    elif isinstance(expr, (Stabilize, MatInf, MatAmp)):
-        yield from leaves(expr.inner)
-    else:
-        yield expr
-
-
 def is_unital(expr: AlgebraExpr) -> bool:
     if isinstance(expr, (Compacts, Stabilize, MatInf)):
         return False
@@ -460,18 +450,6 @@ def is_unital(expr: AlgebraExpr) -> bool:
     if isinstance(expr, MatAmp):
         return is_unital(expr.inner)
     return True
-
-
-def is_exact(expr: AlgebraExpr) -> bool:
-    """Every catalog constructor preserves exactness and every leaf is
-    exact, so the certificate is syntactic."""
-    return all(
-        isinstance(
-            leaf,
-            (Complex, Mat, FinDim, CX, UHF, JiangSu, KirchbergSimple, Compacts),
-        )
-        for leaf in leaves(expr)
-    )
 
 
 def simple_summand_count(expr: AlgebraExpr) -> int:

@@ -33,7 +33,6 @@ from .algebra import (
     absorbs,
     finite_type_compact,
     finite_type_strict,
-    is_exact,
     is_strongly_self_absorbing,
     kills_compact_targets,
     kills_findim_targets,
@@ -303,7 +302,10 @@ def _r_car(q: Query) -> Optional[Outcome]:
 
 
 def _r_kirchberg(q: Query) -> Optional[Outcome]:
-    if q.variant == "WW" and isinstance(q.b, KirchbergSimple) and is_exact(q.a):
+    # The ideal lattice theorem asks A to be exact.  Every catalog leaf is
+    # exact and sums, tensor products, matrix amplification and
+    # stabilization keep exactness, so every catalog expression is.
+    if q.variant == "WW" and isinstance(q.b, KirchbergSimple):
         k = simple_summand_count(q.a)
         return TwoPointSG() if k == 1 else IdealLatticeSG(k)
     return None

@@ -25,8 +25,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .extnat import INF, ExtNat
-
 SCHEMA = "cuntz/1"
 
 # (x <= y, y <= x) -> verdict printed by both compare subcommands.
@@ -213,10 +211,7 @@ def cmd_oz_eps(args) -> int:
 
     phi = _load_map(args.phi)
     try:
-        eps = Fraction(args.eps)
-        if eps < 0:
-            raise ValueError("eps must be >= 0")
-        cut = oz_eps_cut(phi, eps)
+        cut = oz_eps_cut(phi, Fraction(args.eps))
     except (ValueError, ZeroDivisionError, OrderZeroError) as exc:
         raise CliInputError(f"invalid eps: {exc}") from None
     doc = {"schema": SCHEMA, **oz_to_json(cut)}
@@ -315,40 +310,12 @@ def cmd_oz_witness(args) -> int:
     return 0 if report.passed else 4
 
 
-def _faulty_fragment(bound: int, fault: str):
-    import dataclasses
-
-    from .waxioms import extnat_fragment
-
-    base = extnat_fragment(bound)
-    if fault == "overflow":
-        cap = ExtNat(bound)
-
-        # Deliberately broken: finite overflow jumps to inf instead of
-        # clamping, which is not additively compatible with way-below.
-        def add(x: ExtNat, y: ExtNat) -> ExtNat:
-            s = x + y
-            return s if not s.is_finite or s <= cap else INF
-
-        return dataclasses.replace(base, add=add, name=f"{base.name} overflow fault")
-    if fault == "sup-none":
-        return dataclasses.replace(
-            base, sup=lambda values: None, name=f"{base.name} sup fault"
-        )
-    raise CliInputError(f"unknown fault {fault!r}")
-
-
 def cmd_axioms(args) -> int:
     from .waxioms import check_wm_axioms, check_wo_axioms, extnat_fragment, extnat_scaling
 
-    if args.carrier != "extnat":
-        raise CliInputError(f"unknown carrier {args.carrier!r}")
     if not 0 <= args.bound <= 64:
         raise CliInputError("bound must lie in 0..64")
-    if args.fault:
-        fragment = _faulty_fragment(args.bound, args.fault)
-    else:
-        fragment = extnat_fragment(args.bound, aux=args.aux, sup=args.sup)
+    fragment = extnat_fragment(args.bound, aux=args.aux, sup=args.sup)
     checks = list(check_wo_axioms(fragment))
     for k in (2, 3, 5):
         morphism = extnat_scaling(fragment, k)
@@ -445,7 +412,6 @@ def build_parser() -> _Parser:
     p.add_argument("--bound", type=int, default=20)
     p.add_argument("--aux", choices=("way-below", "leq"), default="way-below")
     p.add_argument("--sup", choices=("max", "finite-only"), default="max")
-    p.add_argument("--fault", choices=("overflow", "sup-none"), help=argparse.SUPPRESS)
     _add_format(p)
     p.set_defaults(handler=cmd_axioms)
 

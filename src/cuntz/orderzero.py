@@ -418,7 +418,7 @@ def oz_eps_cut(phi: OrderZeroMap, eps) -> OrderZeroMap:
     """The cut-down (h - eps)+ applied to the structure decomposition; a psd
     cut is stored as its symmetric part, as ``oz_new`` stores a block."""
     e = Fraction(eps) if phi.mode == DIAG else _float(eps)
-    if not e >= 0:  # also refuses NaN
+    if not e >= 0 or e == 0 > eps:  # also NaN, and a negative eps that rounds to 0
         raise NotPositive("eps must be >= 0")
     if phi.mode == DIAG:
         blocks = tuple(tuple(max(x - e, Fraction(0)) for x in w) for w, _ in phi.spectrum)
@@ -507,10 +507,18 @@ def oz_verify_witness(
 def _witness_residual(phi: OrderZeroMap, psi: OrderZeroMap, b: np.ndarray) -> float:
     """The residual of a witness given by psi's used rows and a set of its
     columns that starts with phi's used ones, in order: every other row and
-    column of every residual is zero.  All generators go through
-    ``_residuals`` and one stacked exact norm."""
-    pairs = _generator_images(phi, psi)
-    r = _residuals(b, pairs, _phi_images(pairs, b.shape[-1]))
+    column of every residual is zero.
+
+    r[g] = b^T psi(g) b - phi(g) for every matrix-unit generator g: only
+    the rows of b that psi(g)'s corner meets take part, and phi(g) is
+    subtracted on its own corner alone.  One stacked exact norm follows."""
+    sizes = phi.domain.blocks
+    pairs = zip(_corners(psi.dense_blocks, sizes), _corners(phi.dense_blocks, sizes))
+    width = b.shape[-1]
+    r = np.empty((sum(n * n for n in sizes), width, width))
+    for g, ((rows, cols, h), (phi_rows, phi_cols, k)) in enumerate(pairs):
+        np.matmul(b[rows].T @ h, b[cols], out=r[g])
+        r[g, phi_rows, phi_cols] -= k
     return float(_op_norms(r, phi.domain.is_commutative).max())
 
 
@@ -728,13 +736,6 @@ def rank_cutoff(
     return EIG_CUTOFF, float(phi.positive[i][0][-1]), max(uncounted, default=None)
 
 
-def _generator_images(phi: OrderZeroMap, psi: OrderZeroMap) -> List[Tuple[Corner, Corner]]:
-    """The corners of psi(g) and phi(g) for every matrix-unit generator g
-    of their common domain."""
-    sizes = phi.domain.blocks
-    return list(zip(_corners(psi.dense_blocks, sizes), _corners(phi.dense_blocks, sizes)))
-
-
 def _corners(blocks: Sequence[np.ndarray], sizes: Sequence[int]) -> List[Corner]:
     """The image of every matrix unit g as (rows, columns, H_i) under the
     map whose block i is ``blocks[i]`` (of multiplicity its size) on a
@@ -754,28 +755,6 @@ def _corners(blocks: Sequence[np.ndarray], sizes: Sequence[int]) -> List[Corner]
         ]
         off = end
     return out
-
-
-def _phi_images(pairs: Sequence[Tuple[Corner, Corner]], width: int) -> np.ndarray:
-    """The images phi(g) of ``pairs``, as wide as a witness, in one stack."""
-    images = np.zeros((len(pairs), width, width))
-    for g, (_, (rows, cols, k)) in enumerate(pairs):
-        images[g, rows, cols] = k
-    return images
-
-
-def _residuals(
-    b: np.ndarray, pairs: Sequence[Tuple[Corner, Corner]], images: np.ndarray
-) -> np.ndarray:
-    """r[g] = b^T psi(g) b - phi(g) for every generator g, with psi(g) given
-    by its corner in ``pairs``: only the rows of b that psi(g) meets take
-    part.  The stack ``images`` of every phi(g) (``_phi_images``) is
-    subtracted in one pass."""
-    r = np.empty(images.shape)
-    for g, ((rows, cols, h), _) in enumerate(pairs):
-        np.matmul(b[rows].T @ h, b[cols], out=r[g])
-    r -= images
-    return r
 
 
 def _op_norms(m: np.ndarray, symmetric: bool = False) -> np.ndarray:

@@ -84,9 +84,6 @@ class Fragment:
             raise FragmentNotClosed(f"{x} + {y} = {s} escapes the fragment")
         return s
 
-    def lower(self, a: T) -> List[T]:
-        return [x for x in self.elements if self.aux(x, a)]
-
 
 def _masks(elements: Sequence[T], rel) -> tuple:
     """The bit of each element (of its last place, if listed twice) and, per

@@ -4,6 +4,7 @@ Every test prints one line to the real stdout so the verdicts survive
 pytest's capture; a criterion fails loudly through its assertions.
 """
 
+import dataclasses
 import random
 import sys
 import time
@@ -28,7 +29,6 @@ from cuntz.catalog import (
     eval_WW,
     scale_membership_note,
 )
-from cuntz.cli import _faulty_fragment
 from cuntz.extnat import INF, ExtNat
 from cuntz.multiplicity import (
     Space,
@@ -431,6 +431,23 @@ def test_criterion_7_classification():
 # ---------------------------------------------------------------------------
 # 8. Category axioms on the extended naturals.
 
+def faulty_fragment(bound: int, fault: str):
+    """extnat_fragment(bound) with a fault: "overflow" lets a finite sum past
+    the bound jump to inf, which is not additively compatible with
+    way-below; "sup-none" leaves every supremum undefined."""
+    base = extnat_fragment(bound)
+    if fault == "overflow":
+        cap = ExtNat(bound)
+
+        def add(x: ExtNat, y: ExtNat) -> ExtNat:
+            s = x + y
+            return s if not s.is_finite or s <= cap else INF
+
+        return dataclasses.replace(base, add=add, name=f"{base.name} overflow fault")
+    assert fault == "sup-none"
+    return dataclasses.replace(base, sup=lambda values: None, name=f"{base.name} sup fault")
+
+
 def test_criterion_8_axioms():
     t0 = time.perf_counter()
 
@@ -443,12 +460,12 @@ def test_criterion_8_axioms():
         morphism = extnat_scaling(fragment, k)
         assert all(c.passed for c in check_wm_axioms(morphism, fragment, fragment))
 
-    broken = check_wo_axioms(_faulty_fragment(8, "overflow"))
+    broken = check_wo_axioms(faulty_fragment(8, "overflow"))
     bad = [c for c in broken if not c.passed]
     assert [c.axiom for c in bad] == ["O3"]
     assert bad[0].witness
 
-    broken = check_wo_axioms(_faulty_fragment(8, "sup-none"))
+    broken = check_wo_axioms(faulty_fragment(8, "sup-none"))
     bad = [c for c in broken if not c.passed]
     assert [c.axiom for c in bad] == ["O2"]
     assert "sup undefined" in bad[0].witness

@@ -267,10 +267,16 @@ def test_oz_eps_cut(phi_file, capsys):
     assert doc["blocks"] == [[["1/2", "0"], ["0", "0"]]]
 
 
-def test_oz_eps_rejects_negative(phi_file, capsys):
+def test_oz_eps_rejects_negative(phi_file, tmp_path, capsys):
     assert main(["oz", "eps", phi_file, "--eps=-1/2"]) == 1
     assert "invalid eps" in capsys.readouterr().err
     assert main(["oz", "eps", phi_file, "--eps", "junk"]) == 1
+    # in psd mode -1e-400 rounds to the float -0.0, which is still negative
+    psd = write(tmp_path, "psd.json", {"schema": SCHEMA, "domain": [1], "target_dim": 1,
+                                       "mult": [1], "blocks": [[[0.5]]], "mode": "psd"})
+    capsys.readouterr()
+    assert main(["oz", "eps", psd, "--eps=-1e-400"]) == 1
+    assert capsys.readouterr().err == "error: invalid eps: eps must be >= 0\n"
 
 
 def test_oz_compare_leq_carries_witness(phi_file, psi_file, capsys):
@@ -503,39 +509,26 @@ def test_axioms_bound_is_limited(capsys):
     assert "0..64" in capsys.readouterr().err
 
 
-def test_axioms_overflow_fault(capsys):
-    assert main(["axioms", "extnat", "--bound", "8", "--fault", "overflow"]) == 4
-    out = capsys.readouterr().out
-    assert "O3: FAIL" in out
+def test_axioms_has_no_fault_option(capsys):
+    assert main(["axioms", "extnat", "--fault", "overflow"]) == 1
+    assert "unrecognized arguments: --fault overflow" in capsys.readouterr().err
 
 
-def test_axioms_sup_fault(capsys):
-    assert (
-        main(
-            [
-                "axioms",
-                "extnat",
-                "--bound",
-                "6",
-                "--fault",
-                "sup-none",
-                "--format",
-                "json",
-            ]
-        )
-        == 4
-    )
+def test_axioms_leq_with_a_finite_only_sup_fails_o2(capsys):
+    # with aux = leq the lower set of inf contains inf, whose supremum the
+    # finite-only oracle leaves undefined: O2 is the one failing check
+    args = ["axioms", "extnat", "--bound", "6", "--aux", "leq", "--sup", "finite-only"]
+    assert main(args) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if ": FAIL" in line] == [
+        "  O2: FAIL (sup undefined on the lower set of inf)"
+    ]
+    assert main([*args, "--format", "json"]) == 4
     doc = json.loads(capsys.readouterr().out)
     failed = [c for c in doc["checks"] if not c["passed"]]
-    assert failed and failed[0]["axiom"] == "O2"
-    assert "sup undefined" in failed[0]["witness"]
-
-
-def test_axioms_fault_flag_is_hidden():
-    from cuntz.cli import build_parser
-
-    help_text = build_parser().format_help()
-    assert "--fault" not in help_text
+    assert [c["axiom"] for c in failed] == ["O2"]
+    assert failed[0]["witness"] == "sup undefined on the lower set of inf"
+    assert doc["passed"] is False
 
 
 def test_unknown_command_exits_1(capsys):

@@ -444,6 +444,9 @@ def test_eps_cut_psd_matches_spectral_cut():
     assert np.allclose(sorted(w), [0.0, 0.45], atol=1e-12)
     with pytest.raises(NotPositive):
         oz_eps_cut(phi, float("nan"))
+    # -10^-400 is negative, though its float is -0.0
+    with pytest.raises(NotPositive):
+        oz_eps_cut(phi, F(-1, 10**400))
 
 
 def test_psd_eps_cut_is_symmetric_to_the_last_bit():
@@ -961,6 +964,70 @@ def test_verify_witness_matches_per_generator_norms():
         op_norm(b.T @ psi.apply(g) @ b - phi.apply(g)) for g in generators(phi.domain)
     )
     assert abs(oz_verify_witness(phi, psi, b).residual - expected) <= 1e-12
+
+
+def reference_generator_images(phi, psi):
+    """The corners of psi(g) and phi(g) for every matrix-unit generator g
+    of their common domain."""
+    sizes = phi.domain.blocks
+    return list(zip(orderzero._corners(psi.dense_blocks, sizes),
+                    orderzero._corners(phi.dense_blocks, sizes)))
+
+
+def reference_phi_images(pairs, width):
+    """The images phi(g) of ``pairs``, as wide as a witness, in one stack."""
+    images = np.zeros((len(pairs), width, width))
+    for g, (_, (rows, cols, k)) in enumerate(pairs):
+        images[g, rows, cols] = k
+    return images
+
+
+def reference_residuals(b, pairs, images):
+    """r[g] = b^T psi(g) b - phi(g) for every generator g, with psi(g) given
+    by its corner in ``pairs``; the stack ``images`` of every phi(g) is
+    subtracted in one pass."""
+    r = np.empty(images.shape)
+    for g, ((rows, cols, h), _) in enumerate(pairs):
+        np.matmul(b[rows].T @ h, b[cols], out=r[g])
+    r -= images
+    return r
+
+
+def reference_witness_residual(phi, psi, b):
+    """The residual through a zero-padded stack of phi's images, as wide as
+    the witness, subtracted from the stack of b^T psi(g) b."""
+    pairs = reference_generator_images(phi, psi)
+    r = reference_residuals(b, pairs, reference_phi_images(pairs, b.shape[-1]))
+    return float(orderzero._op_norms(r, phi.domain.is_commutative).max())
+
+
+@pytest.mark.parametrize("chunk", range(6))
+def test_the_residual_equals_the_padded_stack_reference_to_the_bit(chunk):
+    # 3,000 seeded pairs over 1-3 blocks of size 1-3, each map diag or psd,
+    # multiplicities from 0 (a zero-width corner) up.  Subtracting phi(g)
+    # on its corner alone skips only the padding's exact zeros.
+    for seed in range(500 * chunk, 500 * (chunk + 1)):
+        rng = np.random.default_rng(seed)
+        sizes = [int(n) for n in rng.integers(1, 4, rng.integers(1, 4))]
+        phi, psi = (
+            block_map(rng, rng.choice(["diag", "psd"]), sizes,
+                      [int(r) for r in rng.integers(0, 3, len(sizes))], int(rng.integers(0, 3)))
+            for _ in range(2)
+        )
+        paired = orderzero._paired_witness(phi, psi)
+        wide = rng.standard_normal((psi.used, phi.used + int(rng.integers(0, 3))))
+        for b in (paired, wide):
+            assert (orderzero._witness_residual(phi, psi, b).hex()
+                    == reference_witness_residual(phi, psi, b).hex())
+        # a perturbed dense witness, whose columns oz_verify_witness compresses
+        b = np.zeros((psi.target_dim, phi.target_dim))
+        b[: psi.used, : phi.used] = paired + 1e-3 * rng.standard_normal(paired.shape)
+        b[:, rng.random(phi.target_dim) < 0.3] += rng.standard_normal((psi.target_dim, 1))
+        rows = b[: psi.used]
+        cols = rows.any(axis=0)
+        cols[: phi.used] = True
+        assert (oz_verify_witness(phi, psi, b).residual.hex()
+                == reference_witness_residual(phi, psi, rows[:, cols]).hex())
 
 
 def test_verify_witness_shapes_and_domains():

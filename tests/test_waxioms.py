@@ -168,7 +168,7 @@ def _greatest(values, leq):
 def reference_check_wo_axioms(fragment: Fragment):
     elems = list(fragment.elements)
     leq, aux = fragment.leq, fragment.aux
-    lowers = {a: fragment.lower(a) for a in elems}
+    lowers = {a: [x for x in elems if aux(x, a)] for a in elems}
 
     sums: dict = {}
 
