@@ -25,9 +25,10 @@ The two morphism axioms:
       the source with t <= f(s');
   M2  f preserves aux.
 
-O1, O3 and M1 read bitmasks over the element order, built from n^2 oracle
-calls; O2, O4 and M2 enumerate.  Each reports the first counterexample, and
-the first escaping addition, of enumerating its quantifiers in order.
+O1, O3, O4, M1 and M2 read bitmasks over the element order, built from n^2
+oracle calls per relation and kept on the fragment; O2 enumerates.  Each
+reports the first counterexample, and the first escaping addition, of
+enumerating its quantifiers in order.
 """
 
 from __future__ import annotations
@@ -55,12 +56,16 @@ class AxiomCheck:
         return f"{self.axiom}: {'pass' if self.passed else 'FAIL'}{tail}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Fragment:
     """A finite carrier with its monoid, order, and auxiliary oracles.
 
     ``sup`` receives the aux-lower set of an element (as a list) and returns
     its supremum in the ambient monoid, or None where it is undefined.
+
+    A fragment is frozen, since it keeps the masks of its oracles.  The
+    index and the masks are not init fields, so a copy made by
+    ``dataclasses.replace`` builds its own from its own oracles.
     """
 
     elements: Sequence[T]
@@ -70,13 +75,21 @@ class Fragment:
     aux: Callable[[T, T], bool]
     sup: Callable[[Sequence[T]], Optional[T]]
     name: str = "fragment"
-    _index: dict = field(default_factory=dict, repr=False)
+    _index: dict = field(init=False, repr=False)
+    _tables: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        self._index = {x: None for x in self.elements}
+        object.__setattr__(self, "_index", {x: None for x in self.elements})
 
     def __contains__(self, x: T) -> bool:
         return x in self._index
+
+    def masks(self, relation: str) -> tuple:
+        """The masks of ``relation``, "aux" or "leq", over the elements (see
+        _masks), from n^2 oracle calls on first use and kept for later checks."""
+        if relation not in self._tables:
+            self._tables[relation] = _masks(self.elements, getattr(self, relation))
+        return self._tables[relation]
 
     def checked_add(self, x: T, y: T) -> T:
         s = self.add(x, y)
@@ -110,17 +123,19 @@ def check_wo_axioms(fragment: Fragment) -> List[AxiomCheck]:
     Returns one AxiomCheck per axiom with a concrete counterexample on
     failure.  Raises FragmentNotClosed if a tested addition escapes.
 
-    Masks from n^2 aux and n^2 leq calls: below[a] holds the x with
-    aux(x, a), up[x] and down[x] the z above and the y below x.  O1 tests a
-    pair (x, y) of a lower set as up[x] & up[y] & below[a], and takes the
-    first x whose down[x] covers below[a] as its greatest element.  O3 reads
-    below[a+b] and keeps, per (a', b), the sums a'+b' over b' aux-below b.
-    Both do O(n^3) integer work, not n^4 oracle calls; O2 and O4 enumerate.
+    The fragment's masks (n^2 aux and n^2 leq calls, once): below[a] holds
+    the x with aux(x, a), up[x] and down[x] the z above and the y below x.
+    O1 tests a pair (x, y) of a lower set as up[x] & up[y] & below[a], and
+    takes the first x whose down[x] covers below[a] as its greatest element.
+    O3 reads below[a+b] and keeps, per (a', b), the sums a'+b' over b'
+    aux-below b.  O4 ORs the down-masks of the split sums a'+b' until they
+    cover below[a+b].  All three do O(n^3) integer work, not n^4 oracle
+    calls; O2 enumerates.
     """
     elems = list(fragment.elements)
     leq, aux = fragment.leq, fragment.aux
-    bit, _, below = _masks(elems, aux)
-    _, up, down = _masks(elems, leq)
+    bit, _, below = fragment.masks("aux")
+    _, up, down = fragment.masks("leq")
     lowers = {a: [x for x in elems if bit[x] & below[a]] for a in elems}
 
     sums: dict = {}
@@ -177,15 +192,24 @@ def check_wo_axioms(fragment: Fragment) -> List[AxiomCheck]:
                         spans[a1] = mask
 
     def cofinal():
+        # Per (a, b) the split sums a1 + b1 are walked largest first (a
+        # dominating one is usually the first), and seen ORs their
+        # down-masks until it covers below[a+b].  Testing each c against the
+        # sums in turn reaches the same prefix, the longest that any c needs,
+        # so the sums added, and the first that escapes, are the enumeration's.
+        rev = {a: lowers[a][::-1] for a in elems}
         for a in elems:
-            # Largest candidates first: a dominating split sum is usually
-            # found on the first try, keeping the search near linear.
-            rev_a = list(reversed(lowers[a]))
             for b in elems:
                 ab = cadd(a, b)
-                rev_b = list(reversed(lowers[b]))
+                need, seen = below[ab], 0
+                walk = (down[cadd(a1, b1)] for a1 in rev[a] for b1 in rev[b])
+                while need & ~seen:
+                    more = next(walk, None)
+                    if more is None:
+                        break
+                    seen |= more
                 for c in lowers[ab]:
-                    if not any(leq(c, cadd(a1, b1)) for a1 in rev_a for b1 in rev_b):
+                    if not bit[c] & seen:
                         yield f"{c} aux-below {a}+{b} but no dominating split sum"
 
     return [
@@ -202,8 +226,10 @@ def check_wm_axioms(
     """Check the two morphism axioms for a map between fragments.
 
     Raises FragmentNotClosed if an image falls outside the target fragment.
-    M1 tests up[t] & lift[s]: the target's z above t against the images of
-    the s' aux-below s, in n^2 oracle calls instead of n^3.
+    Both axioms read the fragments' masks and make no oracle call once
+    check_wo_axioms or an earlier morphism check has built them.  M1 tests
+    up[t] & lift[s]: the target's z above t against the images of the s'
+    aux-below s.  M2 tests the bit of f(a) against the target's below[f(b)].
     """
     images = {}
     for s in source.elements:
@@ -211,24 +237,32 @@ def check_wm_axioms(
         if m not in target:
             raise FragmentNotClosed(f"image {m} of {s} escapes the target fragment")
         images[s] = m
-    bit, up, _ = _masks(target.elements, target.leq)
-    lift = dict.fromkeys(images, 0)
-    for s in lift:
-        for s1, m in images.items():
-            if source.aux(s1, s):
-                lift[s] |= bit[m]
+    src_bit, _, src_below = source.masks("aux")
+    bit, _, below = target.masks("aux")
+    _, up, _ = target.masks("leq")
+    # Per source element, in order: its bit and below-mask and those of its
+    # image.  The n^2 loops read these rows and hash no element.
+    rows = [(s, src_bit[s], src_below[s], bit[images[s]], below[images[s]])
+            for s in source.elements]
+    lifts = []
+    for _, _, low, _, _ in rows:
+        lift = 0
+        for _, b1, _, f1, _ in rows:
+            if b1 & low:
+                lift |= f1
+        lifts.append(lift)
 
     def continuity():
-        for s in source.elements:
-            fs, ls = images[s], lift[s]
-            for t in target.elements:
-                if target.aux(t, fs) and not up[t] & ls:
+        targets = [(t, bit[t], up[t]) for t in target.elements]
+        for (s, _, _, _, below_fs), lift in zip(rows, lifts):
+            for t, bt, ut in targets:
+                if bt & below_fs and not ut & lift:
                     yield f"aux({t}, f({s})) has no lift below {s}"
 
     def preserves():
-        for a in source.elements:
-            for b in source.elements:
-                if source.aux(a, b) and not target.aux(images[a], images[b]):
+        for a, ba, _, fa, _ in rows:
+            for b, _, low, _, below_fb in rows:
+                if ba & low and not fa & below_fb:
                     yield f"aux({a}, {b}) holds but aux(f({a}), f({b})) fails"
 
     return [_first("M1", continuity()), _first("M2", preserves())]

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import traceback
 
 import pytest
 
@@ -153,7 +154,7 @@ def test_morphism_escaping_target_raises():
 
 
 # The differential oracles: the generator checkers as they stood before O1,
-# O3 and M1 moved to bitmasks, kept verbatim.  check_wo_axioms and
+# O3, O4, M1 and M2 moved to bitmasks, kept verbatim.  check_wo_axioms and
 # check_wm_axioms must agree with them on every fragment, including which
 # addition or image raises FragmentNotClosed.
 
@@ -264,10 +265,21 @@ def outcome(check, *fragments):
         return f"FragmentNotClosed: {exc}"
 
 
+def reference_outcome(fragment):
+    """The reference's outcome, and whether its escape was raised while O4
+    (its ``cofinal``) ran."""
+    try:
+        return [str(c) for c in reference_check_wo_axioms(fragment)], False
+    except FragmentNotClosed as exc:
+        frames = traceback.walk_tb(exc.__traceback__)
+        in_o4 = any(frame.f_code.co_name == "cofinal" for frame, _ in frames)
+        return f"FragmentNotClosed: {exc}", in_o4
+
+
 def agrees_with_reference(fragment):
-    expected = outcome(reference_check_wo_axioms, fragment)
+    expected, in_o4 = reference_outcome(fragment)
     assert outcome(check_wo_axioms, fragment) == expected
-    return expected
+    return expected, in_o4
 
 
 EXTNAT_FAULTS = {
@@ -326,15 +338,25 @@ def random_fragment(rng):
     )
 
 
+def reaches_o4(results):
+    """Assert that a set reaches both lazy endings of O4: a failure, and an
+    escape first raised by one of its own additions."""
+    checked = [o for o, _ in results if isinstance(o, list)]
+    assert sum(o[3].startswith("O4: FAIL") for o in checked) >= 1000
+    assert sum(in_o4 for _, in_o4 in results) >= 30
+
+
 def test_random_fragments_match_the_reference():
     rng = random.Random(20)
-    outcomes = [agrees_with_reference(random_fragment(rng)) for _ in range(3000)]
+    results = [agrees_with_reference(random_fragment(rng)) for _ in range(3000)]
+    outcomes = [o for o, _ in results]
     # the set reaches every ending of O3: an escape, a failure and a pass
     unclosed = [o for o in outcomes if isinstance(o, str)]
     checked = [o for o in outcomes if isinstance(o, list)]
     assert len(unclosed) >= 100
     assert sum(o[2].startswith("O3: FAIL") for o in checked) >= 1000
     assert sum(o[2] == "O3: pass" for o in checked) >= 100
+    reaches_o4(results)
 
 
 def with_a_repeat(rng, fragment):
@@ -348,8 +370,9 @@ def test_random_fragments_with_a_repeated_element_match_the_reference():
     # A mask built by adding bits, not or-ing them, counts a repeated
     # element twice; only fragments like these tell the two apart.
     rng = random.Random(23)
-    outcomes = [agrees_with_reference(with_a_repeat(rng, random_fragment(rng)))
-                for _ in range(3000)]
+    results = [agrees_with_reference(with_a_repeat(rng, random_fragment(rng)))
+               for _ in range(3000)]
+    outcomes = [o for o, _ in results]
     unclosed = [o for o in outcomes if isinstance(o, str)]
     checked = [o for o in outcomes if isinstance(o, list)]
     assert len(unclosed) >= 100
@@ -357,6 +380,7 @@ def test_random_fragments_with_a_repeated_element_match_the_reference():
     assert sum("greatest element" in o[0] for o in checked) >= 500
     assert sum(o[0] == "O1: pass" for o in checked) >= 100
     assert sum(o[2].startswith("O3: FAIL") for o in checked) >= 1000
+    reaches_o4(results)
 
 
 def random_morphism(rng, source, target):
@@ -387,3 +411,50 @@ def test_random_morphisms_match_the_reference():
     assert len(outcomes) - len(checked) >= 100
     assert sum(o[0].startswith("M1: FAIL") for o in checked) >= 500
     assert sum(o[0] == "M1: pass" for o in checked) >= 500
+
+
+# The aux and leq masks are kept on the fragment: check_wo_axioms and every
+# morphism check on it share them.
+
+
+def test_a_replaced_oracle_gets_its_own_masks():
+    fragment = extnat_fragment(2)
+    check_wo_axioms(fragment)
+    check_wm_axioms(extnat_scaling(fragment, 2), fragment, fragment)
+    # the O4 witness fault: 1 is no longer aux-below itself
+    faulty = dataclasses.replace(
+        fragment, aux=lambda x, y: way_below(x, y) and not x == y == ExtNat(1))
+    expected, _ = reference_outcome(faulty)
+    assert outcome(check_wo_axioms, faulty) == expected
+    assert expected != outcome(check_wo_axioms, fragment)
+    # f = id: aux(1, 1) holds in the source but not in the faulty target
+    args = (lambda x: x, fragment, faulty)
+    expected = outcome(reference_check_wm_axioms, *args)
+    assert outcome(check_wm_axioms, *args) == expected
+    assert expected[1].startswith("M2: FAIL")
+    # and the masks cannot go stale under an assigned oracle
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fragment.aux = faulty.aux
+
+
+def test_morphism_checks_call_no_oracle_once_the_masks_exist():
+    calls = {"aux": 0, "leq": 0}
+
+    def counted(name, relation):
+        def call(x, y):
+            calls[name] += 1
+            return relation(x, y)
+        return call
+
+    base = extnat_fragment(6)
+    fragment = dataclasses.replace(base, aux=counted("aux", base.aux),
+                                   leq=counted("leq", base.leq))
+    n = len(fragment.elements)
+    check_wm_axioms(extnat_scaling(fragment, 2), fragment, fragment)
+    assert calls == {"aux": n * n, "leq": n * n}
+    calls.update(aux=0, leq=0)
+    check_wm_axioms(extnat_scaling(fragment, 3), fragment, fragment)
+    assert calls == {"aux": 0, "leq": 0}
+    check_wo_axioms(fragment)
+    # only O2 asks the oracles: aux(a, a) and leq around each supremum
+    assert calls["aux"] <= n and calls["leq"] <= n * (n + 1)
