@@ -35,6 +35,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import inf, isfinite
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
@@ -132,7 +133,6 @@ SCALARS = findim(1)
 DiagBlock = Tuple[Fraction, ...]
 Block = Union[DiagBlock, np.ndarray]
 Element = Sequence[Union[float, Fraction, Sequence, np.ndarray]]
-Corner = Tuple[slice, slice, np.ndarray]  # rows, columns, block
 
 
 class OrderZeroMap(Record):
@@ -155,18 +155,20 @@ class OrderZeroMap(Record):
 
     @cached_property
     def offsets(self) -> Tuple[int, ...]:
-        out = []
-        acc = 0
-        for m, n in zip(self.mults, self.domain.blocks):
-            out.append(acc)
-            acc += m * n
-        return tuple(out)
+        """Where the corner of block i starts: the sum of m_j n_j over j < i."""
+        spans = (m * n for m, n in zip(self.mults, self.domain.blocks))
+        return tuple(accumulate(spans, initial=0))[:-1]
+
+    @cached_property
+    def _diagonals(self) -> Tuple[np.ndarray, ...]:
+        """A diag map's H_i as float vectors, for ``positive`` and ``dense_blocks``."""
+        return tuple(np.array([float(x) for x in h]) for h in self.blocks)
 
     @cached_property
     def dense_blocks(self) -> Tuple[np.ndarray, ...]:
         """Every H_i as a read-only float matrix, converted once per map."""
         if self.mode == DIAG:
-            return tuple(_frozen(np.diag([float(x) for x in h])) for h in self.blocks)
+            return tuple(_frozen(np.diag(w)) for w in self._diagonals)
         return tuple(np.asarray(h, dtype=float) for h in self.blocks)
 
     def block_dense(self, i: int) -> np.ndarray:
@@ -219,10 +221,10 @@ class OrderZeroMap(Record):
         first: the eigenvalues as floats and the eigenvectors as columns,
         both read-only, computed on first use."""
         out = []
-        for w, v in self.spectrum:
-            if self.mode == DIAG:  # exact Fraction > 0 comparisons
-                wf = np.array([float(x) for x in w])
-                counted = np.array([x > 0 for x in w], dtype=bool)
+        for i, (w, v) in enumerate(self.spectrum):
+            if self.mode == DIAG:  # an exact entry is positive where its numerator is
+                wf = self._diagonals[i]
+                counted = np.array([x.numerator > 0 for x in w], dtype=bool)
             else:
                 wf, counted = w, w > EIG_CUTOFF
             order = np.argsort(-wf)
@@ -287,9 +289,7 @@ def oz_new(
         raise ValueError(f"unknown mode {mode!r}")
     mults = tuple(int(m) for m in mults)
     if len(mults) != len(domain.blocks) or len(blocks) != len(domain.blocks):
-        raise DimensionMismatch(
-            "need one multiplicity and one block per domain summand"
-        )
+        raise DimensionMismatch("need one multiplicity and one block per domain summand")
     if any(m < 0 for m in mults):
         raise DimensionMismatch("multiplicities are non-negative")
     used = sum(m * n for m, n in zip(mults, domain.blocks))
@@ -451,9 +451,9 @@ def comparison_certificate(
     if phi.domain != psi.domain:
         a, b = list(phi.domain.blocks), list(psi.domain.blocks)
         raise DomainMismatch(f"comparison needs a common domain, got {a} and {b}")
-    for p, lhs, rhs in zip(phi.domain.point_labels, phi.ranks, psi.ranks):
+    for i, (lhs, rhs) in enumerate(zip(phi.ranks, psi.ranks)):
         if lhs > rhs:
-            return (p, lhs, rhs)
+            return (f"x{i + 1}", lhs, rhs)  # point i's label
     return None
 
 
@@ -509,16 +509,28 @@ def _witness_residual(phi: OrderZeroMap, psi: OrderZeroMap, b: np.ndarray) -> fl
     columns that starts with phi's used ones, in order: every other row and
     column of every residual is zero.
 
-    r[g] = b^T psi(g) b - phi(g) for every matrix-unit generator g: only
-    the rows of b that psi(g)'s corner meets take part, and phi(g) is
-    subtracted on its own corner alone.  One stacked exact norm follows."""
-    sizes = phi.domain.blocks
-    pairs = zip(_corners(psi.dense_blocks, sizes), _corners(phi.dense_blocks, sizes))
-    width = b.shape[-1]
+    r[g] = b^T psi(g) b - phi(g) for every matrix-unit generator g, block by
+    block, then row by row.  psi(E_rc) of block i is H_i on the rows off+r,
+    off+r+n, ... and the columns off+c, off+c+n, ... of its corner: only
+    those rows of b take part, b_r^T H_i once per row r.  phi's H_i is
+    subtracted from the n^2 residuals of block i through one strided view
+    of its corners.  One stacked exact norm follows."""
+    sizes, width = phi.domain.blocks, b.shape[-1]
     r = np.empty((sum(n * n for n in sizes), width, width))
-    for g, ((rows, cols, h), (phi_rows, phi_cols, k)) in enumerate(pairs):
-        np.matmul(b[rows].T @ h, b[cols], out=r[g])
-        r[g, phi_rows, phi_cols] -= k
+    sg, sw, s1 = r.strides
+    g = 0
+    blocks = zip(sizes, psi.dense_blocks, psi.offsets, phi.dense_blocks, phi.offsets)
+    for n, h, off, k, phi_off in blocks:
+        end, m = off + len(h) * n, len(k)
+        for row in range(n):
+            left = b[off + row : end : n].T @ h
+            for col in range(n):
+                np.matmul(left, b[off + col : end : n], out=r[g + row * n + col])
+        if m:  # a view of r: corners[row, col] is r[g + row n + col] on phi's corner
+            shape, strides = (n, n, m, m), (n * sg + sw, sg + s1, n * sw, n * s1)
+            corners = np.ndarray(shape, float, r, g * sg + phi_off * (sw + s1), strides)
+            corners -= k
+        g += n * n
     return float(_op_norms(r, phi.domain.is_commutative).max())
 
 
@@ -530,27 +542,29 @@ def _paired_witness(phi: OrderZeroMap, psi: OrderZeroMap) -> np.ndarray:
     maps that ``positive`` holds are paired in decreasing order, and
     c_i = V_psi diag(sqrt(lambda/mu)) V_phi^T over them, one product;
     c_i (x) 1_n is c_i on the n corners of the units E_rr (see
-    ``_corners``).  Block i's residual is then minus phi's part off the
-    paired eigenvectors, of norm sigma_{k+1}(H_i): phi's largest uncounted
-    |eigenvalue| where phi <= psi, and at most ``obstruction_margin`` on
-    an obstruction, which no witness beats.  A pair without a finite scale
-    (a positive exact eigenvalue of psi that underflows a float) stays out
-    and shows in the residual.
+    ``_witness_residual``).  Block i's residual is then minus phi's part
+    off the paired eigenvectors, of norm sigma_{k+1}(H_i): phi's largest
+    uncounted |eigenvalue| where phi <= psi, and at most
+    ``obstruction_margin`` on an obstruction, which no witness beats.  A
+    pair without a finite scale (a positive exact eigenvalue of psi that
+    underflows a float) stays out and shows in the residual.
     """
     if phi.domain != psi.domain:
         raise DomainMismatch("the witness needs a common domain")
     b = np.zeros((psi.used, phi.used))
-    for i, n in enumerate(phi.domain.blocks):
-        (lam, vecs_phi), (mu, vecs_psi) = phi.positive[i], psi.positive[i]
-        k = min(len(lam), len(mu))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        blocks = zip(phi.domain.blocks, phi.positive, psi.positive, phi.offsets, psi.offsets)
+        for n, (lam, vecs_phi), (mu, vecs_psi), cols, rows in blocks:
+            k = min(len(lam), len(mu))
+            if not k:  # c = 0, and b is 0 already
+                continue
             scale = np.sqrt(lam[:k] / mu[:k])
-        kept = np.flatnonzero(np.isfinite(scale))
-        c = (vecs_psi[:, kept] * scale[kept]) @ vecs_phi[:, kept].T
-        rows, cols = psi.offsets[i], phi.offsets[i]
-        mq, mp = psi.mults[i], phi.mults[i]
-        for r in range(n):
-            b[rows + r : rows + mq * n : n, cols + r : cols + mp * n : n] = c
+            finite = np.isfinite(scale)
+            kept = slice(k) if finite.all() else np.flatnonzero(finite)
+            c = (vecs_psi[:, kept] * scale[kept]) @ vecs_phi[:, kept].T
+            mq, mp = c.shape
+            for r in range(n):
+                b[rows + r : rows + mq * n : n, cols + r : cols + mp * n : n] = c
     return b
 
 
@@ -736,27 +750,6 @@ def rank_cutoff(
     return EIG_CUTOFF, float(phi.positive[i][0][-1]), max(uncounted, default=None)
 
 
-def _corners(blocks: Sequence[np.ndarray], sizes: Sequence[int]) -> List[Corner]:
-    """The image of every matrix unit g as (rows, columns, H_i) under the
-    map whose block i is ``blocks[i]`` (of multiplicity its size) on a
-    domain block of size ``sizes[i]``: block by block, then row by row.
-
-    The image of the unit E_rc of block i is H_i (x) E_rc: H_i itself on the
-    rows off+r, off+r+n, ... and the columns off+c, off+c+n, ... of the
-    block's corner, and zero everywhere else.
-    """
-    out, off = [], 0
-    for h, n in zip(blocks, sizes):
-        end = off + len(h) * n
-        out += [
-            (slice(off + r, end, n), slice(off + c, end, n), h)
-            for r in range(n)
-            for c in range(n)
-        ]
-        off = end
-    return out
-
-
 def _op_norms(m: np.ndarray, symmetric: bool = False) -> np.ndarray:
     """Largest singular value of each matrix in a stack; 0 for empty ones.
 
@@ -811,6 +804,21 @@ def _zero_literal(x) -> bool:
     return x == "0" if type(x) is str else type(x) in (int, float) and x == 0
 
 
+def _psd_float(x, k: int, r: int, c: int) -> float:
+    """Entry (r, c) of psd block k as a float: a string that float() refuses
+    is read as an exact rational, such as "1/2", and rounded once."""
+    if type(x) is bool:  # float() would read true as 1.0: refused as "true"
+        x = str(x).lower()
+    try:
+        return float(x)
+    except ValueError:
+        pass
+    try:
+        return _float(Fraction(x))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"psd block {k} entry ({r}, {c}) must be a number, got {x}") from None
+
+
 def oz_from_json(doc: dict) -> OrderZeroMap:
     domain = FinDimAlgebra(tuple(_json_int(n, "domain") for n in doc["domain"]))
     mode = doc.get("mode", DIAG)
@@ -830,17 +838,9 @@ def oz_from_json(doc: dict) -> OrderZeroMap:
                     if r == c:
                         diag.append(Fraction(str(x)))
                     elif not _zero_literal(x) and Fraction(str(x)) != 0:
-                        raise ValueError(
-                            "diagonal mode requires zero off-diagonal entries"
-                        )
+                        raise ValueError("diagonal mode requires zero off-diagonal entries")
             blocks.append(diag)
         else:
-            # Not float() alone: it would read true as 1.0.
-            bools = [(r, c) for r in range(m) for c in range(m) if type(rows[r][c]) is bool]
-            if bools:
-                r, c = bools[0]
-                x = str(rows[r][c]).lower()
-                raise ValueError(f"psd block {k} entry ({r}, {c}) must be a number, got {x}")
-            blocks.append(np.array([[float(x) for x in r] for r in rows]).reshape(m, m))
-    target_dim = _json_int(doc["target_dim"], "target_dim")
-    return oz_new(domain, target_dim, mults, blocks, mode)
+            blocks.append(np.array([[_psd_float(x, k, r, c) for c, x in enumerate(row)]
+                                    for r, row in enumerate(rows)]).reshape(m, m))
+    return oz_new(domain, _json_int(doc["target_dim"], "target_dim"), mults, blocks, mode)

@@ -453,6 +453,48 @@ def test_oz_refuses_a_bool_psd_entry(tmp_path, capsys):
     assert err.endswith("invalid map document: psd block 0 entry (0, 0) must be a number, got true\n")
 
 
+def psd_pair_docs(phi_rows, psi_rows):
+    """A one-point psd pair into M(2) with the given 2 x 2 blocks."""
+    return [{"schema": SCHEMA, "domain": [1], "target_dim": 2, "mult": [2],
+             "blocks": [rows], "mode": "psd"} for rows in (phi_rows, psi_rows)]
+
+
+def test_oz_reads_rational_strings_in_a_psd_block(tmp_path, capsys):
+    # "1/2" exited 1 with "could not convert string to float"; a rational
+    # string is read exactly and rounded once, so it prints what its float does
+    rational = psd_pair_docs([["1/3", "1/3"], ["1/3", "1/3"]], [["3/4", "1/4"], ["1/4", "3/4"]])
+    floats = psd_pair_docs([[1 / 3, 1 / 3], [1 / 3, 1 / 3]], [[0.75, 0.25], [0.25, 0.75]])
+    printed = []
+    for docs in (rational, floats):
+        phi, psi = (write(tmp_path, f"{name}.json", doc) for name, doc in zip("ab", docs))
+        for sub in ("compare", "witness"):
+            for fmt in ([], ["--format", "json"]):
+                assert main(["oz", sub, phi, psi, *fmt]) == 0
+                printed.append(capsys.readouterr())
+    assert printed[:4] == printed[4:]
+    assert printed[0].out.splitlines()[0] == "leq"
+    assert json.loads(printed[3].out)["passed"] is True
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("abc", "psd block 0 entry (1, 0) must be a number, got abc"),
+    ("1/0", "psd block 0 entry (1, 0) must be a number, got 1/0"),
+    ("1/2/3", "psd block 0 entry (1, 0) must be a number, got 1/2/3"),
+    (False, "psd block 0 entry (1, 0) must be a number, got false"),
+    ("inf", "block 0 has a non-finite entry"),
+    ("nan", "block 0 has a non-finite entry"),
+    ("1e400", "block 0 has a non-finite entry"),
+    ("10**400/1", "psd block 0 entry (1, 0) must be a number, got 10**400/1"),
+])
+def test_oz_names_a_psd_entry_that_is_not_a_number(tmp_path, capsys, entry, message):
+    doc, _ = psd_pair_docs([["1/2", "0"], [entry, "1/2"]], [])
+    bad = write(tmp_path, "bad.json", doc)
+    assert main(["oz", "witness", bad, bad]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {bad}: invalid map document: {message}\n"
+
+
 def huge_and_ok(tmp_path):
     """A map into a target of 10^30 that uses 1 dimension, and one into 3."""
     big = {**diag_map_doc(10**30, ["1/2"]), "domain": [1, 1], "mult": [1, 0],

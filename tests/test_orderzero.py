@@ -197,7 +197,7 @@ def image_cases():
 
 def padded_images(phi):
     """The generator corners of phi, each written into a zero matrix."""
-    corners = orderzero._corners(phi.dense_blocks, phi.domain.blocks)
+    corners = reference_corners(phi.dense_blocks, phi.domain.blocks)
     out = np.zeros((len(corners), phi.target_dim, phi.target_dim))
     for image, (rows, cols, h) in zip(out, corners):
         image[rows, cols] = h
@@ -219,7 +219,7 @@ def test_zero_padded_corners_are_the_images(case):
     # The residual kernel reads phi(g) and psi(g) only as corners; padded
     # with zeros they must be the images of the np.kron reference.
     psi = image_cases()[case]
-    corners = orderzero._corners(psi.dense_blocks, psi.domain.blocks)
+    corners = reference_corners(psi.dense_blocks, psi.domain.blocks)
     assert len(corners) == len(generators(psi.domain))
     for image, g in zip(padded_images(psi), generators(psi.domain)):
         assert np.array_equal(image, kron_apply(psi, g))  # kron may write -0.0
@@ -966,12 +966,33 @@ def test_verify_witness_matches_per_generator_norms():
     assert abs(oz_verify_witness(phi, psi, b).residual - expected) <= 1e-12
 
 
+def reference_corners(blocks, sizes):
+    """The image of every matrix unit g as (rows, columns, H_i) under the
+    map whose block i is ``blocks[i]`` (of multiplicity its size) on a
+    domain block of size ``sizes[i]``: block by block, then row by row.
+
+    The image of the unit E_rc of block i is H_i (x) E_rc: H_i itself on the
+    rows off+r, off+r+n, ... and the columns off+c, off+c+n, ... of the
+    block's corner, and zero everywhere else.
+    """
+    out, off = [], 0
+    for h, n in zip(blocks, sizes):
+        end = off + len(h) * n
+        out += [
+            (slice(off + r, end, n), slice(off + c, end, n), h)
+            for r in range(n)
+            for c in range(n)
+        ]
+        off = end
+    return out
+
+
 def reference_generator_images(phi, psi):
     """The corners of psi(g) and phi(g) for every matrix-unit generator g
     of their common domain."""
     sizes = phi.domain.blocks
-    return list(zip(orderzero._corners(psi.dense_blocks, sizes),
-                    orderzero._corners(phi.dense_blocks, sizes)))
+    return list(zip(reference_corners(psi.dense_blocks, sizes),
+                    reference_corners(phi.dense_blocks, sizes)))
 
 
 def reference_phi_images(pairs, width):
@@ -1028,6 +1049,95 @@ def test_the_residual_equals_the_padded_stack_reference_to_the_bit(chunk):
         cols[: phi.used] = True
         assert (oz_verify_witness(phi, psi, b).residual.hex()
                 == reference_witness_residual(phi, psi, rows[:, cols]).hex())
+
+
+def reference_positive(phi):
+    """The counted eigenpairs of every block, largest first, with each diag
+    entry compared as a Fraction and converted to float on every call."""
+    out = []
+    for w, v in phi.spectrum:
+        if phi.mode == "diag":  # exact Fraction > 0 comparisons
+            wf = np.array([float(x) for x in w])
+            counted = np.array([x > 0 for x in w], dtype=bool)
+        else:
+            wf, counted = w, w > orderzero.EIG_CUTOFF
+        order = np.argsort(-wf)
+        order = order[counted[order]]
+        out.append((wf[order], v[:, order]))
+    return tuple(out)
+
+
+def reference_paired_witness(phi, psi):
+    """The witness (+)_i c_i (x) 1_{n_i} from ``reference_positive``, with
+    one errstate and one gather of the finite scales per block."""
+    b = np.zeros((psi.used, phi.used))
+    pos_phi, pos_psi = reference_positive(phi), reference_positive(psi)
+    for i, n in enumerate(phi.domain.blocks):
+        (lam, vecs_phi), (mu, vecs_psi) = pos_phi[i], pos_psi[i]
+        k = min(len(lam), len(mu))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            scale = np.sqrt(lam[:k] / mu[:k])
+        kept = np.flatnonzero(np.isfinite(scale))
+        c = (vecs_psi[:, kept] * scale[kept]) @ vecs_phi[:, kept].T
+        rows, cols = psi.offsets[i], phi.offsets[i]
+        mq, mp = psi.mults[i], phi.mults[i]
+        for r in range(n):
+            b[rows + r : rows + mq * n : n, cols + r : cols + mp * n : n] = c
+    return b
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def first_use_pairs():
+    """Pairs over one domain: 1,500 seeded ``block_map`` pairs (1-3 blocks
+    of size 1-3, diag or psd, ranks 0-2, psd zeros on or just below the
+    cutoff), then exact entries of 10^-400, tied eigenvalues and rank-0
+    blocks in both modes."""
+    for seed in range(1500):
+        rng = np.random.default_rng(10_000 + seed)
+        sizes = [int(n) for n in rng.integers(1, 4, rng.integers(1, 4))]
+        below = bool(rng.integers(0, 2))
+        yield tuple(
+            block_map(rng, rng.choice(["diag", "psd"]), sizes,
+                      [int(r) for r in rng.integers(0, 3, len(sizes))], int(rng.integers(0, 3)),
+                      below_cutoff=below)
+            for _ in range(2)
+        )
+    tiny = F(1, 10**400)
+    half, quarter = np.eye(3) / 2, np.diag([0.5, 0.25, 0.5])
+    maps = [
+        diag_map(findim(1, 2), 9, (tiny, F(1, 2), tiny), (F(1, 4), tiny)),
+        diag_map(findim(1, 2), 9, (F(1, 2), F(1, 4), F(1, 2)), (F(1, 2), F(1, 2))),
+        diag_map(findim(1, 2), 9, (F(0), F(0), F(0)), ()),
+        diag_map(findim(1, 2), 9, (F(1), tiny, F(1)), (F(0), F(0))),
+        oz_new(findim(1, 2), 9, [3, 2], [half, np.eye(2) / 4], "psd"),
+        oz_new(findim(1, 2), 9, [3, 2], [quarter, np.zeros((2, 2))], "psd"),
+        oz_new(findim(1, 2), 9, [3, 0], [np.zeros((3, 3)), np.zeros((0, 0))], "psd"),
+    ]
+    yield from product(maps, repeat=2)
+
+
+def test_first_use_eigenpairs_and_witness_equal_the_reference_to_the_byte():
+    # positive reads a diag entry's sign from its numerator and its floats
+    # from one conversion per map; the witness enters errstate once and
+    # gathers only where a scale is not finite.  Neither may move a bit.
+    seen = {"tiny": 0, "tie": 0, "rank0": 0}
+    for phi, psi in first_use_pairs():
+        for f in (phi, psi):
+            ref = reference_positive(f)
+            assert f.ranks == tuple(len(lam) for lam, _ in ref)
+            for (lam, vecs), (ref_lam, ref_vecs) in zip(f.positive, ref):
+                assert same_bytes(lam, ref_lam) and same_bytes(vecs, ref_vecs)
+                seen["tiny"] += 0.0 in lam
+                seen["tie"] += len(set(lam.tolist())) < len(lam)
+                seen["rank0"] += not len(lam)
+        paired = orderzero._paired_witness(phi, psi)
+        assert same_bytes(paired, reference_paired_witness(phi, psi))
+        if comparison_certificate(phi, psi) is None:
+            assert oz_construct_witness(phi, psi).corner.tobytes() == paired.tobytes()
+    assert min(seen.values()) >= 10, seen
 
 
 def test_verify_witness_shapes_and_domains():
