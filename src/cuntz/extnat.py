@@ -3,10 +3,15 @@
 ``ExtNat`` models N0 together with an absorbing infinite element.  The
 infinite element is a distinct tag, never a sentinel integer, so ``ExtNat(10**9)``
 and ``INF`` are unrelated values.
+
+A finite element hashes as its integer and ``INF`` as ``sys.hash_info.inf``,
+so no hash depends on ``PYTHONHASHSEED``.  Equality still tells ``ExtNat(3)``
+from ``3``: a dict keeps them as two keys.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Union
 
 
@@ -78,7 +83,8 @@ class ExtNat:
         return isinstance(other, ExtNat) and self._v == other._v
 
     def __hash__(self) -> int:
-        return hash(("ExtNat", self._v))
+        # _v is an int or INF's tag, and both hash alike in every process
+        return hash(self._v)
 
     def __le__(self, other: "ExtNat") -> bool:
         if not isinstance(other, ExtNat):
@@ -108,7 +114,20 @@ class ExtNat:
         return "inf" if self._v is _INF_TAG else self._v
 
 
-_INF_TAG = object()
+class _InfTag:
+    """The value of INF: a single object with a fixed hash."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return sys.hash_info.inf
+
+    def __reduce__(self) -> str:
+        # copy and pickle return this one object, so a copy of INF is INF
+        return "_INF_TAG"
+
+
+_INF_TAG = _InfTag()
 
 INF = ExtNat.infinity()
 ZERO = ExtNat(0)

@@ -1,5 +1,5 @@
-"""Write golden_cli.json: exact stdout, stderr and exit code of `cuntz eval`
-and `cuntz classify` on a fixed corpus.
+"""Write golden_cli.json: exact stdout, stderr and exit code of `cuntz eval`,
+`cuntz classify` and `cuntz axioms` on a fixed corpus.
 
 Run from the repository root:
 
@@ -79,6 +79,11 @@ LEAVES = ["C", "M(1)", "M(3)", "F(2,3)", "F(4)", "CX(p,q)", "CX(1)", "CAR", "Q",
           "O2", "Oinf", "Kirchberg(other)", "K", "UHF(2:inf,3:2)", "UHF(3:inf)", "UHF(5:1)"]
 
 
+# axioms extnat bounds, each run under every --aux and --sup; bound 64 is the
+# largest the CLI accepts.
+AXIOM_BOUNDS = (0, 1, 6, 12, 20, 28, 64)
+
+
 def random_expr(rng: random.Random, depth: int) -> str:
     shape = rng.randrange(5) if depth else 0
     if shape == 0:
@@ -128,6 +133,10 @@ def corpus():
     for _ in range(30):
         a, b = random_expr(rng, 3), random_expr(rng, 2)
         argvs.append(["eval", rng.choice(["--w", "--ww"]), a, b])
+    for bound in AXIOM_BOUNDS:
+        for aux in ("way-below", "leq"):
+            for sup in ("max", "finite-only"):
+                argvs.append(["axioms", "extnat", "--bound", str(bound), "--aux", aux, "--sup", sup])
     return argvs
 
 

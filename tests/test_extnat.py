@@ -1,6 +1,14 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import cuntz
 from cuntz.extnat import INF, ExtNat, way_below
 from cuntz.waxioms import extnat_fragment
 
@@ -32,6 +40,42 @@ def test_parse_and_json_round_trip():
         ExtNat.parse("-3")
     with pytest.raises(ValueError):
         ExtNat.parse("2.5")
+
+
+def test_every_spelling_of_infinity_has_one_hash():
+    spellings = [INF, ExtNat.infinity(), ExtNat.parse("inf"), ExtNat.of("inf")]
+    assert all(x == INF for x in spellings)
+    assert {hash(x) for x in spellings} == {sys.hash_info.inf}
+
+
+@given(st.integers(min_value=0, max_value=10**30))
+def test_a_finite_element_hashes_as_its_integer(k):
+    assert hash(ExtNat(k)) == hash(ExtNat.parse(str(k))) == hash(k)
+
+
+def test_an_extnat_and_its_integer_stay_two_keys():
+    table = {ExtNat(3): "a", 3: "b"}
+    assert ExtNat(3) != 3 and len(table) == 2
+    assert table[ExtNat(3)] == "a" and table[3] == "b"
+
+
+def test_hashes_do_not_depend_on_the_hash_seed():
+    src = str(Path(cuntz.__file__).resolve().parents[1])
+    code = "from cuntz.extnat import INF, ExtNat; print(hash(ExtNat(7)), hash(INF))"
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outs[0] == outs[1] == f"7 {sys.hash_info.inf}\n"
+
+
+def test_a_copy_of_inf_is_inf():
+    for twin in (copy.copy(INF), copy.deepcopy(INF), pickle.loads(pickle.dumps(INF))):
+        assert twin == INF and not twin.is_finite and hash(twin) == hash(INF)
+    assert pickle.loads(pickle.dumps(ExtNat(5))) == ExtNat(5)
 
 
 @given(extnats, extnats)

@@ -1,9 +1,11 @@
-"""Replay the recorded `cuntz eval` and `cuntz classify` commands of
-data/golden_cli.json and require the same stdout, stderr and exit code.
+"""Replay the recorded `cuntz eval`, `cuntz classify` and `cuntz axioms`
+commands of data/golden_cli.json and require the same stdout, stderr and
+exit code.
 
 The corpus covers the acceptance table's regression identities,
-right-nested parentheses, absorbed tensor chains up to 80 factors and
-direct sums up to 60 summands; data/make_golden.py writes it.
+right-nested parentheses, absorbed tensor chains up to 80 factors, direct
+sums up to 60 summands, and `axioms extnat` at bounds 0 to 64 under each
+`--aux` and `--sup`; data/make_golden.py writes it.
 """
 
 import contextlib
