@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -419,6 +420,24 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command; ``argv`` None reads the script's arguments.
+
+    Run as a script, a reader that closes stdout early (``cuntz ... | head``)
+    ends the run with exit 1 and nothing on stderr: the output is flushed
+    here, and stdout then points at os.devnull, so that the flush at exit
+    finds no broken pipe either."""
+    if argv is not None:
+        return _run(argv)
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(argv: Optional[List[str]]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

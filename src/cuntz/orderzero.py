@@ -23,20 +23,20 @@ Every spectral question reads one cached eigensystem per block,
 ``OrderZeroMap.spectrum``, and one rank rule: in diag mode every exact
 positive entry counts, in psd mode every eigenvalue above 1e-10 counts.
 The eigenpairs the rule counts are kept once per map, largest first
-(``OrderZeroMap.positive``); the ranks and the multiplicity profile are
-counted from them (``OrderZeroMap.ranks`` and ``OrderZeroMap.multiplicity``),
-and witness construction and search read them.  Float work reads each
-block as a read-only float matrix, converted once per map
-(``OrderZeroMap.dense_blocks``).
+(``OrderZeroMap.positive``, one descending sort per block); the ranks and
+the multiplicity profile are counted from them (``OrderZeroMap.ranks`` and
+``OrderZeroMap.multiplicity``), and witness construction and search read
+them.  Float work reads each block as a read-only float matrix, converted
+once per map (``OrderZeroMap.dense_blocks``).  Each of these is computed on
+first use and stored on the map, with no lock taken (``cached``).
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
-from math import inf, isfinite
+from math import inf, isfinite, sqrt
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 # The package's own modules before numpy: compiled from source where no
@@ -112,7 +112,7 @@ class FinDimAlgebra(Record):
 
     @property
     def is_commutative(self) -> bool:
-        return all(n == 1 for n in self.blocks)
+        return max(self.blocks) == 1  # every size is >= 1
 
     @property
     def point_labels(self) -> Tuple[str, ...]:
@@ -135,6 +135,23 @@ Block = Union[DiagBlock, np.ndarray]
 Element = Sequence[Union[float, Fraction, Sequence, np.ndarray]]
 
 
+class cached:
+    """``functools.cached_property`` without the lock that Python 3.11 takes on
+    each first access: the value goes to the instance's ``__dict__``."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 class OrderZeroMap(Record):
     """A map equals only itself: its blocks may be numpy arrays."""
 
@@ -147,28 +164,33 @@ class OrderZeroMap(Record):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    @cached_property
+    @cached
     def used(self) -> int:
         """u = sum of m_i n_i: every image vanishes outside its first u rows
-        and columns, the used corner of the target."""
-        return sum(m * n for m, n in zip(self.mults, self.domain.blocks))
+        and columns, the used corner of the target.  ``offsets`` finds it."""
+        self.offsets
+        return self.__dict__["used"]
 
-    @cached_property
+    @cached
     def offsets(self) -> Tuple[int, ...]:
-        """Where the corner of block i starts: the sum of m_j n_j over j < i."""
+        """Where the corner of block i starts: the sum of m_j n_j over j < i.
+        The same loop stores ``used``, where the last corner ends."""
         spans = (m * n for m, n in zip(self.mults, self.domain.blocks))
-        return tuple(accumulate(spans, initial=0))[:-1]
+        *starts, self.__dict__["used"] = accumulate(spans, initial=0)
+        return tuple(starts)
 
-    @cached_property
+    @cached
     def _diagonals(self) -> Tuple[np.ndarray, ...]:
-        """A diag map's H_i as float vectors, for ``positive`` and ``dense_blocks``."""
-        return tuple(np.array([float(x) for x in h]) for h in self.blocks)
+        """A diag map's H_i as float vectors, for ``positive`` and ``dense_blocks``:
+        each entry is its numerator over its denominator, float(x) itself."""
+        return tuple(np.array([x.numerator / x.denominator for x in h]) for h in self.blocks)
 
-    @cached_property
+    @cached
     def dense_blocks(self) -> Tuple[np.ndarray, ...]:
-        """Every H_i as a read-only float matrix, converted once per map."""
+        """Every H_i as a read-only float matrix, converted once per map; a
+        diag H_i is its identity eigenbasis scaled column by column."""
         if self.mode == DIAG:
-            return tuple(_frozen(np.diag(w)) for w in self._diagonals)
+            return tuple(_frozen(v * w) for (_, v), w in zip(self.spectrum, self._diagonals))
         return tuple(np.asarray(h, dtype=float) for h in self.blocks)
 
     def block_dense(self, i: int) -> np.ndarray:
@@ -198,7 +220,7 @@ class OrderZeroMap(Record):
             out[span, span] = piece
         return out
 
-    @cached_property
+    @cached
     def spectrum(self) -> Tuple[Tuple[Sequence, np.ndarray], ...]:
         """Eigenvalues and eigenvectors (as columns) of every H_i.
 
@@ -215,29 +237,33 @@ class OrderZeroMap(Record):
         """Eigenvalues above this count as positive: 0 exactly, or 1e-10."""
         return 0 if self.mode == DIAG else EIG_CUTOFF
 
-    @cached_property
+    @cached
     def positive(self) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
         """The eigenpairs of every H_i that the rank rule counts, largest
         first: the eigenvalues as floats and the eigenvectors as columns,
-        both read-only, computed on first use."""
+        both read-only, computed on first use.  They are the first c of one
+        descending sort, unless a positive exact entry underflows to 0.0 and
+        ties with an uncounted one: then the entries' signs pick them."""
         out = []
         for i, (w, v) in enumerate(self.spectrum):
-            if self.mode == DIAG:  # an exact entry is positive where its numerator is
-                wf = self._diagonals[i]
-                counted = np.array([x.numerator > 0 for x in w], dtype=bool)
+            if self.mode == DIAG:  # every entry is >= 0: the nonzero ones count
+                wf, c = self._diagonals[i], len(w) - w.count(0)
+            else:  # eigh's eigenvalues ascend
+                wf, c = w, len(w) - w.searchsorted(EIG_CUTOFF, "right")
+            order = (-wf).argsort()
+            if c and not wf[order[c - 1]]:
+                order = order[np.array([x.numerator > 0 for x in w])[order]]
             else:
-                wf, counted = w, w > EIG_CUTOFF
-            order = np.argsort(-wf)
-            order = order[counted[order]]
+                order = order[:c]
             out.append((_frozen(wf[order]), _frozen(v[:, order])))
         return tuple(out)
 
-    @cached_property
+    @cached
     def ranks(self) -> Tuple[int, ...]:
         """The rank of every H_i under the rank rule."""
         return tuple(len(lam) for lam, _ in self.positive)
 
-    @cached_property
+    @cached
     def multiplicity(self) -> MultiplicityFunction:
         """The multiplicity function of a commutative-domain map.
 
@@ -525,7 +551,7 @@ def _witness_residual(phi: OrderZeroMap, psi: OrderZeroMap, b: np.ndarray) -> fl
         for row in range(n):
             left = b[off + row : end : n].T @ h
             for col in range(n):
-                np.matmul(left, b[off + col : end : n], out=r[g + row * n + col])
+                np.matmul(left, b[off + col : end : n], r[g + row * n + col])  # out
         if m:  # a view of r: corners[row, col] is r[g + row n + col] on phi's corner
             shape, strides = (n, n, m, m), (n * sg + sw, sg + s1, n * sw, n * s1)
             corners = np.ndarray(shape, float, r, g * sg + phi_off * (sw + s1), strides)
@@ -552,19 +578,16 @@ def _paired_witness(phi: OrderZeroMap, psi: OrderZeroMap) -> np.ndarray:
     if phi.domain != psi.domain:
         raise DomainMismatch("the witness needs a common domain")
     b = np.zeros((psi.used, phi.used))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        blocks = zip(phi.domain.blocks, phi.positive, psi.positive, phi.offsets, psi.offsets)
-        for n, (lam, vecs_phi), (mu, vecs_psi), cols, rows in blocks:
-            k = min(len(lam), len(mu))
-            if not k:  # c = 0, and b is 0 already
-                continue
-            scale = np.sqrt(lam[:k] / mu[:k])
-            finite = np.isfinite(scale)
-            kept = slice(k) if finite.all() else np.flatnonzero(finite)
-            c = (vecs_psi[:, kept] * scale[kept]) @ vecs_phi[:, kept].T
-            mq, mp = c.shape
-            for r in range(n):
-                b[rows + r : rows + mq * n : n, cols + r : cols + mp * n : n] = c
+    blocks = zip(phi.domain.blocks, phi.positive, psi.positive, phi.offsets, psi.offsets)
+    for n, (lam, vecs_phi), (mu, vecs_psi), cols, rows in blocks:
+        scale = [sqrt(x / y) if y else inf for x, y in zip(lam.tolist(), mu.tolist())]
+        if not scale:  # c = 0, and b is 0 already
+            continue
+        kept = [j for j, s in enumerate(scale) if s < inf] if inf in scale else slice(len(scale))
+        c = (vecs_psi[:, kept] * np.array(scale)[kept]) @ vecs_phi[:, kept].T
+        mq, mp = c.shape
+        for r in range(n):
+            b[rows + r : rows + mq * n : n, cols + r : cols + mp * n : n] = c
     return b
 
 

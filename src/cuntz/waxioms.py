@@ -139,12 +139,14 @@ def check_wo_axioms(fragment: Fragment) -> List[AxiomCheck]:
     lowers = {a: [x for x in elems if bit[x] & below[a]] for a in elems}
 
     sums: dict = {}
+    missing = object()  # a sum may be None, so None cannot mark a miss
 
     def cadd(x, y):
         key = (x, y)
-        if key not in sums:
-            sums[key] = fragment.checked_add(x, y)
-        return sums[key]
+        s = sums.get(key, missing)
+        if s is missing:
+            s = sums[key] = fragment.checked_add(x, y)
+        return s
 
     def directed():
         for a in elems:

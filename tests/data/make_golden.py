@@ -1,9 +1,16 @@
 """Write golden_cli.json: exact stdout, stderr and exit code of `cuntz eval`,
-`cuntz classify` and `cuntz axioms` on a fixed corpus.
+`cuntz classify`, `cuntz axioms`, `cuntz compare` and the diag-mode
+`cuntz oz eps|check|compare` on a fixed corpus.
 
 Run from the repository root:
 
     PYTHONPATH=src python tests/data/make_golden.py
+
+A command that reads documents carries them in its record, under "files"
+(file name -> text); it is run in a directory that holds just those files.
+Every number these commands print is exact: ``oz compare`` is recorded only
+on pairs where phi is not below psi, which print the rank certificate and
+the obstruction margin, never a witness residual.
 
 test_golden.py replays every record through ``cuntz.cli.main``.  The file is
 a regression fixture: regenerate it only when an output format changes on
@@ -15,7 +22,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import random
+import tempfile
 from pathlib import Path
 
 from cuntz.cli import main
@@ -97,6 +106,116 @@ def random_expr(rng: random.Random, depth: int) -> str:
     return rng.choice(["stab({})", "Minf({})", "M(2) (x) ({})"]).format(a)
 
 
+# Diagonal entries of the oz maps, and the eps of the cuts.
+OZ_ENTRIES = ("0", "0", "1/4", "1/3", "1/2", "2/3", "3/4", "1")
+OZ_DOMAINS = ((1,), (1, 1), (1, 1, 1), (1, 1, 1, 1), (2,), (1, 2), (3, 1))
+OZ_EPS = ("0", "1/3", "1/2", "1")
+
+
+def _document(doc: dict) -> str:
+    return json.dumps({"schema": "cuntz/1", **doc})
+
+
+def oz_diag_map(rng: random.Random, domain) -> dict:
+    """A diag-mode map document on ``domain``: up to three diagonal entries
+    per block, drawn from OZ_ENTRIES, into a target with up to 3 spare
+    dimensions."""
+    mults = [rng.randint(0, 3) for _ in domain]
+    blocks = [[rng.choice(OZ_ENTRIES) for _ in range(m)] for m in mults]
+    used = sum(m * n for m, n in zip(mults, domain))
+    return {
+        "domain": list(domain),
+        "target_dim": used + rng.randint(0, 3),
+        "mult": mults,
+        "blocks": [[[x if r == c else "0" for c in range(len(d))] for r, x in enumerate(d)]
+                   for d in blocks],
+        "mode": "diag",
+    }
+
+
+def _ranks(doc: dict):
+    return [sum(row[r] != "0" for r, row in enumerate(block)) for block in doc["blocks"]]
+
+
+def oz_obstructions(rng: random.Random, per_verdict: int):
+    """Pairs (phi, psi) of diag map documents on one domain where phi is not
+    below psi: ``per_verdict`` with psi below phi (geq), as many incomparable."""
+    found = {"geq": [], "incomparable": []}
+    while any(len(pairs) < per_verdict for pairs in found.values()):
+        domain = rng.choice(OZ_DOMAINS)
+        phi, psi = oz_diag_map(rng, domain), oz_diag_map(rng, domain)
+        below = all(a <= b for a, b in zip(_ranks(phi), _ranks(psi)))
+        above = all(b <= a for a, b in zip(_ranks(phi), _ranks(psi)))
+        if not below:
+            pairs = found["geq" if above else "incomparable"]
+            if len(pairs) < per_verdict:
+                pairs.append((phi, psi))
+    return found["geq"] + found["incomparable"]
+
+
+def mf_document(rng: random.Random, space: dict) -> dict:
+    """A multiplicity function on ``space``: finite or infinite atoms, and on
+    the interval up to two essential segments on a grid of 1/16."""
+    atoms, essential = [], []
+    if space["kind"] == "discrete":
+        for p in space["points"]:
+            v = rng.choice((0, 1, 2, 3, "inf"))
+            if v:
+                atoms.append({"at": p, "mult": v})
+    else:
+        cuts = sorted(rng.sample(range(17), 2 * rng.randint(0, 2)))
+        segments = list(zip(cuts[::2], cuts[1::2]))
+        essential = [[f"{lo}/16", f"{hi}/16"] for lo, hi in segments]
+        free = [x for x in range(17) if not any(lo <= x <= hi for lo, hi in segments)]
+        for x in sorted(rng.sample(free, min(len(free), rng.randint(0, 3)))):
+            atoms.append({"at": f"{x}/16", "mult": rng.choice((1, 2, 3, "inf"))})
+    return {"space": space, "atoms": atoms, "essential": essential}
+
+
+def _raised(rng: random.Random, nu: dict) -> dict:
+    """nu with one atom raised by one, or to inf: a function above nu."""
+    mu = json.loads(json.dumps(nu))
+    if mu["atoms"]:
+        atom = rng.choice(mu["atoms"])
+        atom["mult"] = "inf" if atom["mult"] == "inf" or rng.random() < 0.3 else atom["mult"] + 1
+    return mu
+
+
+def file_corpus():
+    """(argv, files) for the commands that read documents."""
+    rng = random.Random(28)
+    runs = []
+    spaces = [{"kind": "discrete", "points": list("pqrs"[:k])} for k in (1, 2, 3, 4)]
+    spaces.append({"kind": "interval"})
+    for i in range(14):
+        space = spaces[i % len(spaces)]
+        nu = mf_document(rng, space)
+        mu = _raised(rng, nu) if i % 3 else mf_document(rng, space)
+        if i % 2:
+            nu, mu = mu, nu
+        files = {"space.json": _document(space), "nu.json": _document(nu),
+                 "mu.json": _document(mu)}
+        for fmt in ("text", "json"):
+            runs.append((["compare", "space.json", "nu.json", "mu.json", "--format", fmt], files))
+    # a function on another space, and a document without the schema
+    other = mf_document(rng, spaces[1])
+    files = {"space.json": _document(spaces[0]), "nu.json": _document(other),
+             "mu.json": json.dumps(other)}
+    runs.append((["compare", "space.json", "nu.json", "nu.json"], files))
+    runs.append((["compare", "space.json", "nu.json", "mu.json"], files))
+    for phi, psi in oz_obstructions(rng, 8):
+        files = {"phi.json": _document(phi), "psi.json": _document(psi)}
+        for fmt in ("text", "json"):
+            runs.append((["oz", "compare", "phi.json", "psi.json", "--format", fmt], files))
+    for i in range(10):
+        files = {"phi.json": _document(oz_diag_map(rng, OZ_DOMAINS[i % len(OZ_DOMAINS)]))}
+        for fmt in ("text", "json"):
+            runs.append((["oz", "eps", "phi.json", "--eps", OZ_EPS[i % 4], "--format", fmt], files))
+            trials = ["--trials", str(i)] if i % 3 else []
+            runs.append((["oz", "check", "phi.json", *trials, "--format", fmt], files))
+    return runs
+
+
 def corpus():
     argvs = []
     for flag, a, b in REGRESSION:
@@ -140,15 +259,27 @@ def corpus():
     return argvs
 
 
-def run(argv):
+def run(argv, files=None):
+    """The record of one command; ``files`` are written to a fresh
+    directory, which is the working directory while the command runs."""
+    record = {"argv": argv} if files is None else {"argv": argv, "files": files}
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in (files or {}).items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+    return {**record, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 if __name__ == "__main__":
     records = [run(argv) for argv in corpus()]
+    records += [run(argv, files) for argv, files in file_corpus()]
     with OUT.open("w", encoding="utf-8") as fh:
         fh.write("[\n")
         fh.write(",\n".join(json.dumps(r, ensure_ascii=False) for r in records))

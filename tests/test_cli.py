@@ -3,6 +3,9 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from itertools import permutations
 from pathlib import Path
@@ -10,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cuntz
 from cuntz.algebra import parse_algebra
 from cuntz.catalog import ZeroSG, direct_sum_value, eval_W, value_text
 from cuntz.cli import main
@@ -875,3 +879,32 @@ def test_every_document_ends_in_an_exit_code(space, nu, mu, phi, psi, eps):
         run_cli(["oz", "eps", names["phi"], "--eps", eps])
         run_cli(["oz", "compare", names["phi"], names["psi"]])
         run_cli(["oz", "witness", names["phi"], names["psi"]])
+
+
+# A reader that closes stdout early, as `cuntz ... | head -c 10` does, leaves
+# a pipe whose every write fails with EPIPE.  The script ends with exit 1 and
+# nothing on stderr, and eval still loads neither numpy nor dataclasses.
+@pytest.mark.parametrize("command,loaded", [("eval", []), ("oz compare", ["numpy"])])
+def test_a_closed_stdout_ends_the_script_without_a_traceback(tmp_path, command, loaded):
+    if command == "eval":
+        argv = ["eval", " (+) ".join(["C"] * 3000), "C"]
+    else:
+        argv = ["oz", "compare", write(tmp_path, "phi.json", diag_map_doc(2, ["1/2"])),
+                write(tmp_path, "psi.json", diag_map_doc(3, ["1", "1/4"])), "--format", "json"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cuntz.__file__).resolve().parents[1]))
+    modules = tmp_path / "modules.json"
+    probe = (
+        "import json, sys; from cuntz.cli import main; sys.argv[1:] = json.loads(sys.argv[1]); "
+        "code = main(); loaded = [m for m in ('numpy', 'dataclasses') if m in sys.modules]; "
+        f"open({str(modules)!r}, 'w').write(json.dumps(loaded)); sys.exit(code)"
+    )
+    for args in (["-m", "cuntz.cli", *argv], ["-c", probe, json.dumps(argv)]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            out = subprocess.run([sys.executable, *args], stdout=write_end,
+                                 stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (out.returncode, out.stderr) == (1, "")
+    assert json.loads(modules.read_text()) == loaded

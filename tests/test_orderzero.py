@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -321,6 +322,49 @@ def test_positive_holds_the_counted_eigenpairs_once_per_map(monkeypatch):
     oz_witness_search(psi, phi, samples=64)
     assert oz_construct_witness(phi, phi).passed
     assert [f is phi for f in calls] == [True, False]
+
+
+FIRST_USE = {"used", "offsets", "_diagonals", "dense_blocks", "spectrum", "positive", "ranks",
+             "multiplicity"}
+
+
+def test_each_first_use_property_is_computed_once_per_map(monkeypatch):
+    # no functools.cached_property: under Python 3.11 it takes a lock on
+    # every first access
+    props = {name for name, attr in vars(OrderZeroMap).items()
+             if isinstance(attr, (orderzero.cached, cached_property))}
+    assert props == FIRST_USE
+    assert not any(isinstance(vars(OrderZeroMap)[name], cached_property) for name in props)
+    calls = Counter()
+    for name in FIRST_USE:
+        func = vars(OrderZeroMap)[name].func
+        counted = orderzero.cached(lambda f, name=name, func=func: calls.update([(name, f)])
+                                   or func(f))
+        counted.__set_name__(OrderZeroMap, name)
+        monkeypatch.setattr(OrderZeroMap, name, counted)
+    h = np.array([[0.5, 0.25], [0.25, 0.5]])
+    maps = [
+        diag_map(findim(1, 1), 6, (F(1, 2), F(0)), (F(1, 4),)),
+        diag_map(findim(1, 1), 6, (F(1), F(1, 2)), (F(1, 10**400), F(1, 4))),
+        oz_new(findim(1, 1), 6, [2, 1], [h, [[0.25]]], "psd"),
+        oz_new(findim(1, 1), 5, [2, 2], [h, np.eye(2) / 2], "psd"),
+    ]
+    maps += [oz_eps_cut(f, F(1, 4)) for f in maps]
+    for phi, psi in product(maps, repeat=2):
+        if phi.mode == psi.mode:
+            comparison_certificate(phi, psi)
+            obstruction_margin(phi, psi)
+            rank_cutoff(phi, psi, 0)
+            if oz_cuntz_leq_commutative(phi, psi):
+                oz_construct_witness(phi, psi)
+            oz_witness_search(phi, psi, samples=8)
+        phi.apply([[1.0], [0.5]])
+        phi.multiplicity
+        oz_check_order_zero(phi, trials=2)
+    assert {name for name, _ in calls} == FIRST_USE
+    assert set(calls.values()) == {1}
+    for f in maps:  # a later read finds the value on the map; psd has no diagonals
+        assert FIRST_USE - ({"_diagonals"} if f.mode == "psd" else set()) <= set(vars(f))
 
 
 # ---------------------------------------------------------------------------
@@ -1120,17 +1164,19 @@ def first_use_pairs():
 
 
 def test_first_use_eigenpairs_and_witness_equal_the_reference_to_the_byte():
-    # positive reads a diag entry's sign from its numerator and its floats
-    # from one conversion per map; the witness enters errstate once and
-    # gathers only where a scale is not finite.  Neither may move a bit.
-    seen = {"tiny": 0, "tie": 0, "rank0": 0}
+    # positive takes the first c entries of one descending sort per block,
+    # and reads the numerators only where a counted diag entry underflows to
+    # 0.0; the witness scales in Python floats and gathers only where a
+    # scale is not finite.  Neither may move a bit.
+    seen = {"prefix diag": 0, "prefix psd": 0, "numerator mask": 0, "tie": 0, "rank0": 0}
     for phi, psi in first_use_pairs():
         for f in (phi, psi):
             ref = reference_positive(f)
             assert f.ranks == tuple(len(lam) for lam, _ in ref)
             for (lam, vecs), (ref_lam, ref_vecs) in zip(f.positive, ref):
                 assert same_bytes(lam, ref_lam) and same_bytes(vecs, ref_vecs)
-                seen["tiny"] += 0.0 in lam
+                # the branch positive takes: a counted 0.0 is an underflow
+                seen["numerator mask" if 0.0 in lam else f"prefix {f.mode}"] += 1
                 seen["tie"] += len(set(lam.tolist())) < len(lam)
                 seen["rank0"] += not len(lam)
         paired = orderzero._paired_witness(phi, psi)
