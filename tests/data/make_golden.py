@@ -88,6 +88,26 @@ LEAVES = ["C", "M(1)", "M(3)", "F(2,3)", "F(4)", "CX(p,q)", "CX(1)", "CAR", "Q",
           "O2", "Oinf", "Kirchberg(other)", "K", "UHF(2:inf,3:2)", "UHF(3:inf)", "UHF(5:1)"]
 
 
+# Sums whose parts repeat, under every kind of R4 split: a domain sum, a
+# target sum, F(...) and CX(...) against a non-C target, and a repeated
+# nested stab(A (+) B); each in text and JSON.
+REPEATED_PARTS = [
+    ("--w", "C (+) M(2) (+) C (+) Z (+) M(2) (+) C", "C"),
+    ("--w", "C (+) M(2) (+) C (+) Z (+) M(2) (+) C", "O2"),
+    ("--ww", "C (+) M(2) (+) C (+) Z (+) M(2) (+) C", "C"),
+    ("--w", " (+) ".join(["C", "M(2)", "Z", "CX(p)", "O2"] * 8), "O2"),
+    ("--w", "C", "M(2) (+) C (+) M(2) (+) stab(C) (+) C"),
+    ("--w", "Z (+) C (+) Z", "M(2) (+) C (+) M(2)"),
+    ("--w", "F(2,2,3)", "C"),
+    ("--w", "F(2,2,3)", "C (+) Z"),
+    ("--w", "CX(p,q,r)", "O2"),
+    ("--w", "CX(p,q,r)", "M(2) (+) C"),
+    ("--w", "stab(C (+) M(2)) (+) Z (+) stab(C (+) M(2))", "C"),
+    ("--w", "stab(C (+) M(2)) (+) Z (+) stab(C (+) M(2))", "O2"),
+    ("--ww", "stab(C (+) M(2)) (+) Z (+) stab(C (+) M(2))", "C"),
+]
+
+
 # axioms extnat bounds, each run under every --aux and --sup; bound 64 is the
 # largest the CLI accepts.
 AXIOM_BOUNDS = (0, 1, 6, 12, 20, 28, 64)
@@ -216,6 +236,11 @@ def file_corpus():
     return runs
 
 
+def repeated_part_corpus():
+    return [["eval", flag, a, b, *fmt] for flag, a, b in REPEATED_PARTS
+            for fmt in ([], ["--format", "json"])]
+
+
 def corpus():
     argvs = []
     for flag, a, b in REGRESSION:
@@ -280,6 +305,7 @@ def run(argv, files=None):
 if __name__ == "__main__":
     records = [run(argv) for argv in corpus()]
     records += [run(argv, files) for argv, files in file_corpus()]
+    records += [run(argv) for argv in repeated_part_corpus()]
     with OUT.open("w", encoding="utf-8") as fh:
         fh.write("[\n")
         fh.write(",\n".join(json.dumps(r, ensure_ascii=False) for r in records))

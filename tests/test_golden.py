@@ -4,7 +4,8 @@ data/golden_cli.json and require the same stdout, stderr and exit code.
 
 The corpus covers the acceptance table's regression identities,
 right-nested parentheses, absorbed tensor chains up to 80 factors, direct
-sums up to 60 summands, `axioms extnat` at bounds 0 to 64 under each
+sums up to 60 summands, sums whose parts repeat under every kind of split,
+`axioms extnat` at bounds 0 to 64 under each
 `--aux` and `--sup`, multiplicity-function comparisons on discrete spaces
 and the interval, and order-zero cuts, checks and obstructions;
 data/make_golden.py writes it.  A record that reads documents carries them
@@ -24,7 +25,7 @@ GOLDEN = Path(__file__).with_name("data") / "golden_cli.json"
 
 def test_recorded_commands_replay_byte_for_byte(tmp_path, monkeypatch):
     records = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert len(records) > 450
+    assert len(records) > 480
     assert sum("files" in record for record in records) > 100
     monkeypatch.chdir(tmp_path)
     mismatched = []
