@@ -507,47 +507,65 @@ def _terminal_value(q: Query) -> SemigroupValue:
 
 
 def _evaluate(q: Query) -> Tuple[SemigroupValue, RewriteTrace]:
-    """Rewrite the query; the parts of a split wait on a stack and are
-    rewritten depth first, each with its own step budget, and the value of a
-    query that splits is the direct sum of every terminal value.  A part that
-    exhausts its budget is Unknown, named by the query it stopped at."""
+    """Rewrite the query; the value of a query that splits is the direct sum
+    of every terminal value.  A part that exhausts its step budget is
+    Unknown, named by the query it stopped at."""
     trace: RewriteTrace = []
-    nq = _normalize_query(q)
-    text = query_text(nq)
-    if text != query_text(q):
-        trace.append(TraceStep("N", "canonical presentation", query_text(q), text))
-    stack = [(nq, text)]
     values: List[SemigroupValue] = []
-    while stack:
-        q, before = stack.pop()
-        # The budget only guards termination.  It grows with the query, so
-        # that no long query is cut short: every node of it prints as at
-        # least one character.
-        for _ in range(64 + len(before)):
-            matched = _first_match(q)
-            if matched is None:
-                values.append(_terminal_value(q))
-                break
-            rule, outcome = matched
-            if isinstance(outcome, SemigroupValue):
-                trace.append(TraceStep(rule.name, rule.anchor, before, value_text(outcome)))
-                values.append(outcome)
-                break
-            if isinstance(outcome, Query):
-                q = _normalize_query(outcome)
-                after = query_text(q)
-                trace.append(TraceStep(rule.name, rule.anchor, before, after))
-                before = after
-                continue
-            parts = [(p, query_text(p)) for p in map(_normalize_query, outcome)]
-            after = " (+) ".join(t for _, t in parts)
-            trace.append(TraceStep(rule.name, rule.anchor, before, after))
-            stack.extend(reversed(parts))
-            break
-        else:  # the budget ran out: the value of this part is unknown
-            values.append(UnknownSG(before))
+    nq = _normalize_query(q)
+    text, raw = query_text(nq), query_text(q)
+    if text != raw:
+        trace.append(TraceStep("N", "canonical presentation", raw, text))
+    _derive(nq, text, trace, values, {})
     # A split has at least two parts, so one value means no split happened.
     return (values[0] if len(values) == 1 else direct_sum_value(values)), trace
+
+
+def _derive(q: Query, before: str, trace: RewriteTrace, values: List[SemigroupValue],
+            memo: dict) -> None:
+    """Append q's steps and terminal values.  The parts of a split are
+    derived depth first, each with its own step budget, by a recursion that
+    the parser's MAX_NESTING bounds.  By additivity a part's derivation
+    depends on the part alone: ``memo`` maps each part, as the rule returns
+    it, to its normal form, its text and, once derived, the slices of
+    ``trace`` and ``values`` it wrote, which a repeat appends."""
+    # The budget only guards termination.  It grows with the query, so that
+    # no long query is cut short: every node of it prints as at least one
+    # character.
+    for _ in range(64 + len(before)):
+        matched = _first_match(q)
+        if matched is None:
+            values.append(_terminal_value(q))
+            return
+        rule, outcome = matched
+        if isinstance(outcome, SemigroupValue):
+            trace.append(TraceStep(rule.name, rule.anchor, before, value_text(outcome)))
+            values.append(outcome)
+            return
+        if isinstance(outcome, Query):
+            q = _normalize_query(outcome)
+            after = query_text(q)
+            trace.append(TraceStep(rule.name, rule.anchor, before, after))
+            before = after
+            continue
+        parts = []
+        for p in outcome:
+            if (part := memo.get(p)) is None:
+                part = memo[p] = [nq := _normalize_query(p), query_text(nq)]
+            parts.append(part)
+        after = " (+) ".join(part[1] for part in parts)
+        trace.append(TraceStep(rule.name, rule.anchor, before, after))
+        for part in parts:
+            nq, text, *derived = part
+            if derived:
+                trace += trace[derived[0]]
+                values += values[derived[1]]
+            else:
+                t, v = len(trace), len(values)
+                _derive(nq, text, trace, values, memo)
+                part += [slice(t, len(trace)), slice(v, len(values))]
+        return
+    values.append(UnknownSG(before))  # the budget ran out
 
 
 def eval_W(a: AlgebraExpr, b: AlgebraExpr) -> Tuple[SemigroupValue, RewriteTrace]:

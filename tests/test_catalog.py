@@ -1,9 +1,10 @@
+import random
 from itertools import product
 
 import pytest
 
 from cuntz import catalog
-from cuntz.algebra import COMPLEX, Mat, Tensor, parse_algebra, to_text
+from cuntz.algebra import COMPLEX, MAX_NESTING, Mat, Tensor, parse_algebra, to_text
 from cuntz.catalog import (
     CarSG,
     CuOfSG,
@@ -197,6 +198,155 @@ def test_an_exhausted_step_budget_exits_2_from_the_cli(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out.splitlines()[0] == "W(Z, Z) = Unknown[W(Z, Z)]"
     assert err == ""
+
+
+# ---------------------------------------------------------------------------
+# Each distinct part of a split is derived once per query.
+
+def reference_evaluate(q, splits=None):
+    """The engine without shared parts: the parts of a split wait on a
+    stack, and each is rewritten afresh, depth first, with its own step
+    budget.  ``splits``, if given, collects each (query, parts) split."""
+    trace = []
+    nq = catalog._normalize_query(q)
+    text = query_text(nq)
+    if text != query_text(q):
+        trace.append(catalog.TraceStep("N", "canonical presentation", query_text(q), text))
+    stack = [(nq, text)]
+    values = []
+    while stack:
+        q, before = stack.pop()
+        for _ in range(64 + len(before)):
+            matched = catalog._first_match(q)
+            if matched is None:
+                values.append(catalog._terminal_value(q))
+                break
+            rule, outcome = matched
+            if isinstance(outcome, catalog.SemigroupValue):
+                trace.append(catalog.TraceStep(rule.name, rule.anchor, before, value_text(outcome)))
+                values.append(outcome)
+                break
+            if isinstance(outcome, Query):
+                q = catalog._normalize_query(outcome)
+                after = query_text(q)
+                trace.append(catalog.TraceStep(rule.name, rule.anchor, before, after))
+                before = after
+                continue
+            if splits is not None:
+                splits.append((q, outcome))
+            parts = [(p, query_text(p)) for p in map(catalog._normalize_query, outcome)]
+            after = " (+) ".join(t for _, t in parts)
+            trace.append(catalog.TraceStep(rule.name, rule.anchor, before, after))
+            stack.extend(reversed(parts))
+            break
+        else:
+            values.append(UnknownSG(before))
+    return (values[0] if len(values) == 1 else direct_sum_value(values)), trace
+
+
+def _assert_same_evaluation(q, splits=None):
+    got_value, got_trace = catalog._evaluate(q)
+    value, trace = reference_evaluate(q, splits)
+    assert value_text(got_value) == value_text(value)
+    assert value_to_json(got_value) == value_to_json(value)
+    assert [s.to_json() for s in got_trace] == [s.to_json() for s in trace]
+
+
+# Few leaves, so that the summands of a sum repeat: finite-dimensional
+# algebras and CX(...) split into parts themselves.
+SHARED_LEAVES = ["C", "M(2)", "M(3)", "F(2,2,3)", "F(2,3)", "CX(p,q)", "CX(p,q,r)", "Z",
+                 "O2", "CAR", "K", "Oinf", "UHF(3:inf)", "UHF(2:1,3:1)"]
+
+
+def shared_expr(rng, depth):
+    """An expression text: a leaf, a sum whose summands are drawn from two or
+    three subexpressions, a stabilized such sum, a tensor product, or an
+    amplification."""
+    shape = rng.randrange(6) if depth else 0
+    if shape <= 1:
+        return rng.choice(SHARED_LEAVES)
+    inner = lambda: f"({shared_expr(rng, depth - 1)})"
+    if shape in (2, 3):
+        pool = [inner() for _ in range(rng.randint(2, 3))]
+        text = " (+) ".join(rng.choice(pool) for _ in range(rng.randint(2, 6)))
+        return text if shape == 2 else f"stab({text})"
+    if shape == 4:
+        return " (x) ".join(inner() for _ in range(rng.randint(2, 3)))
+    return rng.choice(["Minf({})", "M(2) (x) {}", "stab({})"]).format(inner())
+
+
+def test_shared_parts_evaluate_as_the_reference():
+    rng = random.Random(29)
+    seen = dict.fromkeys(["WW", "repeated", "nested", "repeated nested stab", "tensor",
+                          "DirectSum", "FinDim", "CX", "target"], 0)
+    for _ in range(3000):
+        variant = "WW" if rng.random() < 0.3 else "W"
+        a, b = shared_expr(rng, 2), shared_expr(rng, 1)
+        splits = []
+        _assert_same_evaluation(Query(variant, parse_algebra(a), parse_algebra(b)), splits)
+        seen["WW"] += variant == "WW"
+        seen["tensor"] += "(x)" in a + b
+        seen["nested"] += len(splits) >= 2
+        for q, parts in splits:
+            split = catalog._summand_exprs(q.a)
+            seen[type(q.a).__name__ if split is not None else "target"] += 1
+            repeated = [p for p in set(parts) if parts.count(p) > 1]
+            seen["repeated"] += bool(repeated)
+            seen["repeated nested stab"] += any(
+                "stab(" in to_text(p.a) and "(+)" in to_text(p.a) for p in repeated
+            )
+    assert min(seen.values()) >= 100, seen
+
+
+def test_a_repeated_part_that_exhausts_its_budget_is_unknown_each_time(monkeypatch):
+    _looping_on_z(monkeypatch)
+    q = Query("W", parse_algebra("Z (+) C (+) Z (+) Z"), parse_algebra("Z"))
+    _assert_same_evaluation(q)
+    value, trace = catalog._evaluate(q)
+    assert value_text(value).count("Unknown[W(Z, Z)]") == 3
+    assert sum(s.rule == "loop" for s in trace) == 3 * (64 + len("W(Z, Z)"))
+
+
+def test_each_distinct_part_is_derived_once(monkeypatch):
+    # A sum of 5, 40 or 1,000 summands drawn from the same five leaves asks
+    # the rules the same number of times: once per step of each distinct
+    # part, whatever the summand count.
+    real, calls = catalog._first_match, []
+    monkeypatch.setattr(catalog, "_first_match", lambda q: calls.append(q) or real(q))
+    leaves = ["C", "M(2)", "Z", "CX(p,q)", "stab(C (+) M(2))"]
+    counts = []
+    for n in (5, 40, 1000):
+        calls.clear()
+        value, trace = W(" (+) ".join((leaves * n)[:n]), "O2")
+        counts.append(len(calls))
+        assert len(trace) > n
+    assert counts[0] == counts[1] == counts[2] <= 20
+    # A part that occurs again adds the same steps, not copies of them.
+    _, trace = W("Z (+) C (+) Z", "O2 (+) C")
+    first, second = [i for i, s in enumerate(trace) if s.before == "W(Z, O2 (+) C)"]
+    steps = len(trace) - second  # the second Z is the last part
+    assert steps > 1
+    assert all(x is y for x, y in zip(trace[first:first + steps], trace[second:]))
+
+
+def _nested_splits(levels):
+    text = "C"
+    for _ in range(levels):
+        text = f"stab(M(2) (+) {text})"
+    return text
+
+
+@pytest.mark.parametrize("target", ["C", "O2", "C (+) Z", "stab(C)"])
+@pytest.mark.parametrize("flag", ["--w", "--ww"])
+def test_splits_nested_as_deep_as_the_parser_allows_evaluate(flag, target, capsys):
+    # a split at each of MAX_NESTING - 1 levels; one more level does not parse
+    levels = MAX_NESTING - 1
+    code = main(["eval", flag, _nested_splits(levels), target])
+    out, err = capsys.readouterr()
+    assert code in (0, 2) and err == ""
+    if target == "stab(C)":
+        assert out.count("R4 [") >= levels
+    assert main(["eval", flag, _nested_splits(levels + 1), target]) == 1
 
 
 def test_homology_values():
