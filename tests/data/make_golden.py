@@ -108,6 +108,19 @@ REPEATED_PARTS = [
 ]
 
 
+# Scanner and argument paths that no other record reaches: characters that
+# are alphanumeric but not letters or decimal digits, a decimal digit of
+# another script, wrong argument counts and shapes, unclosed arguments, an
+# operator broken by a space, tab-, newline- and NBSP-spaced operators, and
+# parentheses nested to MAX_NESTING and one past it.
+PARSE_PATHS = [
+    "M(²)", "F(2,³)", "_x", "M(٣)",
+    "M(2,3)", "M()", "CX()", "UHF()", "UHF(2:inf", "Kirchberg(O2", "stab(x)",
+    "C (+ ) C", "C\t(+)\u00a0M(2)\n(+)\tZ\u00a0(x)\u00a0CAR",
+    "(" * 100 + "C" + ")" * 100, "(" * 101 + "C" + ")" * 101,
+]
+
+
 # axioms extnat bounds, each run under every --aux and --sup; bound 64 is the
 # largest the CLI accepts.
 AXIOM_BOUNDS = (0, 1, 6, 12, 20, 28, 64)
@@ -241,6 +254,10 @@ def repeated_part_corpus():
             for fmt in ([], ["--format", "json"])]
 
 
+def parse_path_corpus():
+    return [argv for text in PARSE_PATHS for argv in (["eval", text, "C"], ["classify", "C", text])]
+
+
 def corpus():
     argvs = []
     for flag, a, b in REGRESSION:
@@ -306,6 +323,7 @@ if __name__ == "__main__":
     records = [run(argv) for argv in corpus()]
     records += [run(argv, files) for argv, files in file_corpus()]
     records += [run(argv) for argv in repeated_part_corpus()]
+    records += [run(argv) for argv in parse_path_corpus()]
     with OUT.open("w", encoding="utf-8") as fh:
         fh.write("[\n")
         fh.write(",\n".join(json.dumps(r, ensure_ascii=False) for r in records))

@@ -5,6 +5,7 @@ data/golden_cli.json and require the same stdout, stderr and exit code.
 The corpus covers the acceptance table's regression identities,
 right-nested parentheses, absorbed tensor chains up to 80 factors, direct
 sums up to 60 summands, sums whose parts repeat under every kind of split,
+the scanner's and the argument readers' error paths,
 `axioms extnat` at bounds 0 to 64 under each
 `--aux` and `--sup`, multiplicity-function comparisons on discrete spaces
 and the interval, and order-zero cuts, checks and obstructions;
@@ -25,7 +26,7 @@ GOLDEN = Path(__file__).with_name("data") / "golden_cli.json"
 
 def test_recorded_commands_replay_byte_for_byte(tmp_path, monkeypatch):
     records = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert len(records) > 480
+    assert len(records) > 510
     assert sum("files" in record for record in records) > 100
     monkeypatch.chdir(tmp_path)
     mismatched = []
