@@ -10,7 +10,7 @@ the algebraic limit M_inf(-).
 The text syntax is
 
     C | M(n) | F(n1,...,nk) | CX(p1,...,pk) | UHF(2:inf,...) | CAR | Z | Q
-      | O2 | Oinf | K | A (+) B | A (x) B | stab(A) | Minf(A)
+      | O2 | Oinf | Kirchberg(name) | K | A (+) B | A (x) B | stab(A) | Minf(A)
 
 with (x) binding tighter than (+).  A run of one operator is a single chain
 node holding its operands in order: ``A (x) B (x) C`` is ``Tensor(A, B, C)``,
@@ -24,6 +24,7 @@ factors into stabilization), never theorems about the invariants themselves.
 from __future__ import annotations
 
 import math
+import re
 from typing import List, Optional, Tuple
 
 from .record import Record
@@ -148,68 +149,54 @@ class ExprSyntaxError(ValueError):
         self.pos = pos
 
 
-_OPERATORS = {"(+)": "OPLUS", "(x)": "OTIMES"}
-
 # Parsing, printing and normalizing recurse once per level of parentheses;
 # the bound keeps every input far from the interpreter's recursion limit.
 MAX_NESTING = 100
+
+# The whitespace before a token, and the token, with "(+)" and "(x)" tried
+# before "(".  Any non-space character starts a token, so matches are
+# contiguous.  \s is str.isspace, \d str.isdecimal, \w str.isalnum or "_".
+_TOKEN = re.compile(r"(\s*)(\(\+\)|\(x\)|[(),:]|\d+|\w+|\S)")
+_KINDS = {"(+)": "OPLUS", "(x)": "OTIMES", "(": "LP", ")": "RP", ",": "COMMA", ":": "COLON"}
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     tokens = []
     depth = 0
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text[i : i + 3] in _OPERATORS:
-            tokens.append((_OPERATORS[text[i : i + 3]], text[i : i + 3], i))
-            i += 3
-            continue
-        if ch == "(":
+    pos = 0
+    for space, lexeme in _TOKEN.findall(text):
+        pos += len(space)
+        # a word starts with a letter; any other lexeme must be a number
+        kind = _KINDS.get(lexeme) or ("NAME" if lexeme[0].isalpha() else "INT")
+        if kind == "LP":
             depth += 1
             if depth > MAX_NESTING:
-                raise ExprSyntaxError(f"more than {MAX_NESTING} open parentheses", i)
-            tokens.append(("LP", ch, i))
-            i += 1
-            continue
-        if ch == ")":
+                raise ExprSyntaxError(f"more than {MAX_NESTING} open parentheses", pos)
+        elif kind == "RP":
             depth -= 1
-            tokens.append(("RP", ch, i))
-            i += 1
-            continue
-        if ch == ",":
-            tokens.append(("COMMA", ch, i))
-            i += 1
-            continue
-        if ch == ":":
-            tokens.append(("COLON", ch, i))
-            i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            tokens.append(("INT", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("NAME", text[i:j], i))
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
+        elif kind == "INT" and not lexeme[0].isdecimal():
+            raise ExprSyntaxError(f"unexpected character {lexeme[0]!r}", pos)
+        tokens.append((kind, lexeme, pos))
+        pos += len(lexeme)
     tokens.append(("EOF", "", len(text)))
     return tokens
 
 
+# The bare leaves, built when read, and the one-argument wrappers.
+_LEAVES = {
+    "C": lambda: COMPLEX,
+    "CAR": lambda: UHF(sn_parse("2:inf")),
+    "Z": JiangSu,
+    "Q": lambda: UHF(sn_parse("Q")),
+    "O2": lambda: KirchbergSimple("O2"),
+    "Oinf": lambda: KirchbergSimple("Oinf"),
+    "K": Compacts,
+}
+_WRAPPERS = {"stab": Stabilize, "Minf": MatInf}
+
+
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -249,16 +236,20 @@ class _Parser:
         return items[0] if len(items) == 1 else Tensor(*items)
 
     def atom(self) -> AlgebraExpr:
-        tok = self.next()
-        kind, text, pos = tok
+        kind, text, pos = self.next()
         if kind == "LP":
             inner = self.sum()
             self.expect("RP")
             return inner
         if kind != "NAME":
             raise ExprSyntaxError(f"expected an algebra, found {text!r}", pos)
-        if text == "C":
-            return COMPLEX
+        if text in _LEAVES:
+            return _LEAVES[text]()
+        if text in _WRAPPERS:
+            self.expect("LP")
+            inner = self.sum()
+            self.expect("RP")
+            return _WRAPPERS[text](inner)
         if text == "M":
             return Mat(self._int_args(pos, exactly=1)[0])
         if text == "F":
@@ -267,16 +258,6 @@ class _Parser:
             return CX(tuple(self._label_args(pos)))
         if text == "UHF":
             return UHF(self._supernatural_arg(pos))
-        if text == "CAR":
-            return UHF(sn_parse("2:inf"))
-        if text == "Z":
-            return JiangSu()
-        if text == "Q":
-            return UHF(sn_parse("Q"))
-        if text == "O2":
-            return KirchbergSimple("O2")
-        if text == "Oinf":
-            return KirchbergSimple("Oinf")
         if text == "Kirchberg":
             self.expect("LP")
             name = self.expect("NAME")
@@ -285,18 +266,6 @@ class _Parser:
                 return KirchbergSimple(name[1])
             except ValueError as exc:
                 raise ExprSyntaxError(str(exc), name[2]) from None
-        if text == "K":
-            return Compacts()
-        if text == "stab":
-            self.expect("LP")
-            inner = self.sum()
-            self.expect("RP")
-            return Stabilize(inner)
-        if text == "Minf":
-            self.expect("LP")
-            inner = self.sum()
-            self.expect("RP")
-            return MatInf(inner)
         raise ExprSyntaxError(f"unknown algebra name {text!r}", pos)
 
     def _int_args(self, pos: int, exactly: Optional[int] = None) -> List[int]:
@@ -308,16 +277,18 @@ class _Parser:
             if value < 1:
                 raise ExprSyntaxError("sizes must be >= 1", tok[2])
             out.append(value)
-            if self.peek()[0] == "COMMA":
-                self.next()
-                continue
-            break
+            if self.peek()[0] != "COMMA":
+                break
+            self.next()
         self.expect("RP")
         if exactly is not None and len(out) != exactly:
             raise ExprSyntaxError(f"expected {exactly} argument(s)", pos)
         return out
 
     def _label_args(self, pos: int) -> List[str]:
+        if self.peek()[0] == "OTIMES":  # "CX(x)": "(x)" scans as one token
+            self.next()
+            return ["x"]
         self.expect("LP")
         out = []
         while True:
@@ -325,10 +296,9 @@ class _Parser:
             if tok[0] not in ("NAME", "INT"):
                 raise ExprSyntaxError(f"expected a point label, found {tok[1]!r}", tok[2])
             out.append(tok[1])
-            if self.peek()[0] == "COMMA":
-                self.next()
-                continue
-            break
+            if self.peek()[0] != "COMMA":
+                break
+            self.next()
         self.expect("RP")
         if len(set(out)) != len(out):
             raise ExprSyntaxError("point labels must be distinct", pos)

@@ -120,6 +120,9 @@ PARSE_PATHS = [
     "(" * 100 + "C" + ")" * 100, "(" * 101 + "C" + ")" * 101,
 ]
 
+# CX(x) is the point labelled x, though "(x)" scans as the tensor operator.
+POINT_X = ["CX(x)", "CX( x)", "CX(x) (x) M(2)"]
+
 
 # axioms extnat bounds, each run under every --aux and --sup; bound 64 is the
 # largest the CLI accepts.
@@ -254,8 +257,8 @@ def repeated_part_corpus():
             for fmt in ([], ["--format", "json"])]
 
 
-def parse_path_corpus():
-    return [argv for text in PARSE_PATHS for argv in (["eval", text, "C"], ["classify", "C", text])]
+def parse_path_corpus(texts):
+    return [argv for text in texts for argv in (["eval", text, "C"], ["classify", "C", text])]
 
 
 def corpus():
@@ -323,7 +326,8 @@ if __name__ == "__main__":
     records = [run(argv) for argv in corpus()]
     records += [run(argv, files) for argv, files in file_corpus()]
     records += [run(argv) for argv in repeated_part_corpus()]
-    records += [run(argv) for argv in parse_path_corpus()]
+    records += [run(argv) for argv in parse_path_corpus(PARSE_PATHS)]
+    records += [run(argv) for argv in parse_path_corpus(POINT_X)]
     with OUT.open("w", encoding="utf-8") as fh:
         fh.write("[\n")
         fh.write(",\n".join(json.dumps(r, ensure_ascii=False) for r in records))

@@ -1,8 +1,14 @@
+import random
+import re
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuntz.algebra import (
     COMPLEX,
+    MAX_NESTING,
+    AlgebraExpr,
     CX,
     Compacts,
     Complex,
@@ -45,6 +51,8 @@ def test_leaf_syntax():
     assert parse_algebra("F(2,3,5)") == FinDim((2, 3, 5))
     assert parse_algebra("CX(p,q,r)") == CX(("p", "q", "r"))
     assert parse_algebra("CX(1,2)") == CX(("1", "2"))
+    # "(x)" scans as the tensor operator, and after CX it is the point x
+    assert parse_algebra("CX(x)") == parse_algebra("CX( x)") == CX(("x",))
     assert parse_algebra("UHF(2:inf,3:2)") == UHF(sn_parse("2:inf,3:2"))
     assert parse_algebra("CAR") == UHF(sn_parse("2:inf"))
     assert parse_algebra("Q") == UHF(sn_parse("Q"))
@@ -64,6 +72,7 @@ def test_operator_precedence_and_associativity():
     assert e == DirectSum(DirectSum(COMPLEX, Mat(2)), Mat(3))
     e = parse_algebra("(C (+) M(2)) (x) M(3)")
     assert e == Tensor(DirectSum(COMPLEX, Mat(2)), Mat(3))
+    assert parse_algebra("CX(x) (x) C") == Tensor(CX(("x",)), COMPLEX)
 
 
 def test_syntax_errors_carry_positions():
@@ -77,11 +86,328 @@ def test_syntax_errors_carry_positions():
         ("UHF(4:1)", 0),
         ("", 0),
         ("M(²)", 2),
+        ("stab(x)", 4),
+        ("Kirchberg(x)", 9),
+        ("(" * (MAX_NESTING + 1) + "C" + ")" * (MAX_NESTING + 1), MAX_NESTING),
     ]:
         with pytest.raises(ExprSyntaxError) as err:
             parse_algebra(text)
         assert err.value.pos == pos
         assert f"position {pos}" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# The scanner and parser against the character-at-a-time version they replaced.
+
+def _reference_tokenize(text):
+    tokens = []
+    depth = 0
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if text[i : i + 3] in ("(+)", "(x)"):
+            tokens.append(({"(+)": "OPLUS", "(x)": "OTIMES"}[text[i : i + 3]], text[i : i + 3], i))
+            i += 3
+            continue
+        if ch == "(":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ExprSyntaxError(f"more than {MAX_NESTING} open parentheses", i)
+            tokens.append(("LP", ch, i))
+            i += 1
+            continue
+        if ch == ")":
+            depth -= 1
+            tokens.append(("RP", ch, i))
+            i += 1
+            continue
+        if ch == ",":
+            tokens.append(("COMMA", ch, i))
+            i += 1
+            continue
+        if ch == ":":
+            tokens.append(("COLON", ch, i))
+            i += 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < len(text) and text[j].isdecimal():
+                j += 1
+            tokens.append(("INT", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("NAME", text[i:j], i))
+            i = j
+            continue
+        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
+    tokens.append(("EOF", "", len(text)))
+    return tokens
+
+
+class _ReferenceParser:
+    def __init__(self, text):
+        self.tokens = _reference_tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.next()
+        if tok[0] != kind:
+            raise ExprSyntaxError(f"expected {kind}, found {tok[1]!r}", tok[2])
+        return tok
+
+    def parse(self):
+        expr = self.sum()
+        tok = self.peek()
+        if tok[0] != "EOF":
+            raise ExprSyntaxError(f"trailing input {tok[1]!r}", tok[2])
+        return expr
+
+    def sum(self):
+        items = [self.product()]
+        while self.peek()[0] == "OPLUS":
+            self.next()
+            items.append(self.product())
+        return items[0] if len(items) == 1 else DirectSum(*items)
+
+    def product(self):
+        items = [self.atom()]
+        while self.peek()[0] == "OTIMES":
+            self.next()
+            items.append(self.atom())
+        return items[0] if len(items) == 1 else Tensor(*items)
+
+    def atom(self):
+        kind, text, pos = self.next()
+        if kind == "LP":
+            inner = self.sum()
+            self.expect("RP")
+            return inner
+        if kind != "NAME":
+            raise ExprSyntaxError(f"expected an algebra, found {text!r}", pos)
+        if text == "C":
+            return COMPLEX
+        if text == "M":
+            return Mat(self._int_args(pos, exactly=1)[0])
+        if text == "F":
+            return FinDim(tuple(self._int_args(pos)))
+        if text == "CX":
+            return CX(tuple(self._label_args(pos)))
+        if text == "UHF":
+            return UHF(self._supernatural_arg(pos))
+        if text == "CAR":
+            return UHF(sn_parse("2:inf"))
+        if text == "Z":
+            return JiangSu()
+        if text == "Q":
+            return UHF(sn_parse("Q"))
+        if text == "O2":
+            return KirchbergSimple("O2")
+        if text == "Oinf":
+            return KirchbergSimple("Oinf")
+        if text == "Kirchberg":
+            self.expect("LP")
+            name = self.expect("NAME")
+            self.expect("RP")
+            try:
+                return KirchbergSimple(name[1])
+            except ValueError as exc:
+                raise ExprSyntaxError(str(exc), name[2]) from None
+        if text == "K":
+            return Compacts()
+        if text == "stab":
+            self.expect("LP")
+            inner = self.sum()
+            self.expect("RP")
+            return Stabilize(inner)
+        if text == "Minf":
+            self.expect("LP")
+            inner = self.sum()
+            self.expect("RP")
+            return MatInf(inner)
+        raise ExprSyntaxError(f"unknown algebra name {text!r}", pos)
+
+    def _int_args(self, pos, exactly=None):
+        self.expect("LP")
+        out = []
+        while True:
+            tok = self.expect("INT")
+            value = int(tok[1])
+            if value < 1:
+                raise ExprSyntaxError("sizes must be >= 1", tok[2])
+            out.append(value)
+            if self.peek()[0] == "COMMA":
+                self.next()
+                continue
+            break
+        self.expect("RP")
+        if exactly is not None and len(out) != exactly:
+            raise ExprSyntaxError(f"expected {exactly} argument(s)", pos)
+        return out
+
+    def _label_args(self, pos):
+        self.expect("LP")
+        out = []
+        while True:
+            tok = self.next()
+            if tok[0] not in ("NAME", "INT"):
+                raise ExprSyntaxError(f"expected a point label, found {tok[1]!r}", tok[2])
+            out.append(tok[1])
+            if self.peek()[0] == "COMMA":
+                self.next()
+                continue
+            break
+        self.expect("RP")
+        if len(set(out)) != len(out):
+            raise ExprSyntaxError("point labels must be distinct", pos)
+        return out
+
+    def _supernatural_arg(self, pos):
+        self.expect("LP")
+        pieces = []
+        while self.peek()[0] != "RP":
+            tok = self.next()
+            if tok[0] == "EOF":
+                raise ExprSyntaxError("unterminated UHF argument", tok[2])
+            pieces.append(tok[1])
+        self.expect("RP")
+        try:
+            return sn_parse("".join(pieces))
+        except ValueError as exc:
+            raise ExprSyntaxError(str(exc), pos) from None
+
+
+def reference_parse(text):
+    """The character-at-a-time scanner and if-chain parser that
+    ``parse_algebra`` replaced, in which "CX(x)" is a syntax error."""
+    return _ReferenceParser(text).parse()
+
+
+_NAMES = ["C", "M", "F", "CX", "UHF", "CAR", "Z", "Q", "O2", "Oinf", "Kirchberg", "K",
+          "stab", "Minf", "other", "inf", "x", "p", "q", "Cé", "O2_1"]
+_PUNCTUATION = ["(+)", "(x)", "(", ")", ",", ":", "(+", "x)"]
+_NUMBERS = ["0", "1", "2", "3", "12", "٣", "٣2", "2٣"]
+_ODD = ["²", "³", "_", "#", "½", "Ⅳ", "+"]
+_SPACES = ["", "", " ", " ", "\t", "\n", "\xa0", "\x1f", "\u2028"]
+_LEAF_SHAPES = ["C", "M(2)", "M(٣)", "F(2,3)", "CX(p,q)", "CX(x)", "CX(x,q)", "UHF(2:inf,3:2)",
+                "CAR", "Q", "Z", "O2", "Oinf", "Kirchberg(other)", "K",
+                "M(0)", "M(2,3)", "F(2,0)", "CX(p,p)", "UHF(4:1)"]
+_NODE_SHAPES = ["stab({})", "Minf({})", "{} (x) {}", "{} (+) {}", "({})", "M(2) (x) {}"]
+
+
+def _soup(rng):
+    """Up to 14 lexemes of every kind, joined by any of the spaces."""
+    pools = (_NAMES, _PUNCTUATION, _NUMBERS, _ODD)
+    pieces = [rng.choice(rng.choices(pools, weights=(6, 6, 3, 1))[0])
+              for _ in range(rng.randint(1, 14))]
+    return "".join(piece + rng.choice(_SPACES) for piece in pieces)
+
+
+def _expression(rng, depth):
+    """An expression that scans, nested up to ``depth``; a few of its leaves
+    have arguments out of range."""
+    shape = rng.choice(_LEAF_SHAPES + _NODE_SHAPES if depth else _LEAF_SHAPES)
+    return shape.format(*(_expression(rng, depth - 1) for _ in range(shape.count("{}"))))
+
+
+def _mutated(rng):
+    """An expression, respaced, with up to three lexemes or spaces inserted,
+    each in place of the character where it goes or before it."""
+    text = "".join(ch if ch != " " else rng.choice(_SPACES) for ch in _expression(rng, 3))
+    for _ in range(rng.choice([0, 0, 1, 2, 3])):
+        i = rng.randrange(len(text) + 1)
+        piece = rng.choice(rng.choice([_NAMES, _PUNCTUATION, _NUMBERS, _ODD, _SPACES]))
+        cut = rng.randint(0, 1)
+        text = text[:i] + piece + text[i + cut:]
+    return text
+
+
+def _nested(rng):
+    """Parentheses or stab( nested 99 to 102 deep, closed or not."""
+    n = rng.randint(MAX_NESTING - 1, MAX_NESTING + 2)
+    opener = rng.choice(["(", "stab(", "( ", "Minf ("])
+    closers = ")" * (n - rng.randint(0, 1))
+    return opener * n + rng.choice(["C", "M(2)", "CX(x)", "Z (x) Z", "#"]) + closers
+
+
+def parse_corpus(n, seed):
+    rng = random.Random(seed)
+    makers = [_soup] * 4 + [_mutated] * 5 + [_nested]
+    return [rng.choice(makers)(rng) for _ in range(n)]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ExprSyntaxError as exc:
+        return str(exc), exc.pos
+
+
+def _point_x_difference(text, ref):
+    """True when the reference rejects a "(x)" token that directly follows
+    CX, where parse_algebra reads the point labelled x."""
+    if isinstance(ref, AlgebraExpr):
+        return False
+    tokens = _reference_tokenize(text)
+    return any(
+        a[:2] == ("NAME", "CX") and b[0] == "OTIMES"
+        and ref == (f"expected LP, found '(x)' at position {b[2]}", b[2])
+        for a, b in zip(tokens, tokens[1:])
+    )
+
+
+_MESSAGES = (
+    "unexpected character", "more than", "expected LP", "expected RP", "expected INT",
+    "expected NAME", "expected an algebra", "trailing input", "unknown algebra name",
+    "expected a point label", "point labels must be distinct", "sizes must be >= 1",
+    "expected 1 argument(s)", "unterminated UHF argument", "unknown Kirchberg label",
+)
+
+
+def test_the_parser_matches_the_reference_on_a_seeded_corpus():
+    outcomes = {}
+    point_x = []
+    for text in parse_corpus(6000, seed=30):
+        ref, got = _outcome(reference_parse, text), _outcome(parse_algebra, text)
+        if ref != got:
+            assert _point_x_difference(text, ref), (text, ref, got)
+            point_x.append(got)
+        kind = "parsed" if isinstance(got, AlgebraExpr) else next(
+            (m for m in _MESSAGES if got[0].startswith(m)), "supernatural")
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert outcomes["parsed"] >= 1000
+    assert outcomes["supernatural"] >= 50
+    for kind in _MESSAGES:
+        assert outcomes.get(kind, 0) >= 3, (kind, outcomes)
+    # the one intended difference: CX followed by the "(x)" token
+    assert len(point_x) >= 100
+    assert sum(isinstance(got, AlgebraExpr) for got in point_x) >= 50
+
+
+def test_the_scanner_classes_are_the_str_predicates():
+    # \d, \w and \s in the token pattern stand for str.isdecimal,
+    # str.isalnum or "_", and str.isspace, over every code point
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    for pattern, predicate in [
+        (r"\d", str.isdecimal),
+        (r"\w", lambda c: c.isalnum() or c == "_"),
+        (r"\s", str.isspace),
+    ]:
+        assert re.findall(pattern, every) == [c for c in every if predicate(c)]
 
 
 @st.composite
@@ -95,6 +421,8 @@ def exprs(draw, depth=3, matamp=True):
                     Mat(5),
                     FinDim((2, 3)),
                     CX(("p", "q")),
+                    CX(("x",)),
+                    CX(("x", "q")),
                     UHF(sn_parse("2:inf")),
                     UHF(sn_parse("Q")),
                     JiangSu(),
